@@ -9,11 +9,10 @@
 //! insight across the GPU boundary — the paper's load-balancing story,
 //! one level up.
 
-use bench::{Cli, CsvWriter};
-use kernels::spmv_multi::{spmv_multi, Partition};
+use bench::{node_spmv, Cli, CsvWriter};
 use loops::schedule::ScheduleKind;
 use simt::MultiGpuSpec;
-use sparse::Csr;
+use sparse::{Csr, ShardStrategy};
 
 fn workloads() -> Vec<(&'static str, Csr<f32>)> {
     vec![
@@ -37,38 +36,37 @@ fn main() {
     for (name, a) in workloads() {
         eprintln!("  {name}: {} nnz", a.nnz());
         let x = sparse::dense::test_vector(a.cols());
-        let t1 = spmv_multi(
+        let t1 = node_spmv(
             &MultiGpuSpec::dgx_v100(1),
             &a,
             &x,
             ScheduleKind::MergePath,
-            Partition::NnzBalanced,
+            ShardStrategy::Nnz1D,
         )
         .expect("1-device run")
-        .report
         .elapsed_ms;
         println!("\n{name} ({} nnz; 1-device {:.3} ms):", a.nnz(), t1);
         println!("{:<10} {:>14} {:>14} {:>18}", "devices", "row-blocks", "nnz-balanced", "imbalance (rows)");
         for &d in &device_counts {
             let mut line = format!("{d:<10}");
             let mut row_imb = 0.0;
-            for (pname, p) in [("rows", Partition::RowBlocks), ("nnz", Partition::NnzBalanced)] {
-                let run = spmv_multi(&MultiGpuSpec::dgx_v100(d), &a, &x, ScheduleKind::MergePath, p)
+            for (pname, s) in [("rows", ShardStrategy::Rows1D), ("nnz", ShardStrategy::Nnz1D)] {
+                let run = node_spmv(&MultiGpuSpec::dgx_v100(d), &a, &x, ScheduleKind::MergePath, s)
                     .expect("multi run");
-                let speedup = t1 / run.report.elapsed_ms;
+                let speedup = t1 / run.elapsed_ms;
                 csv.row(&format!(
                     "{d},{pname},{name},{},{},{},{},{:.3},{:.3}",
                     a.rows(),
                     a.cols(),
                     a.nnz(),
-                    run.report.elapsed_ms,
-                    run.report.device_imbalance(),
+                    run.elapsed_ms,
+                    run.imbalance(),
                     speedup
                 ))
                 .unwrap();
                 line.push_str(&format!(" {speedup:>12.2}x"));
                 if pname == "rows" {
-                    row_imb = run.report.device_imbalance();
+                    row_imb = run.imbalance();
                 }
             }
             line.push_str(&format!(" {row_imb:>17.2}"));

@@ -39,6 +39,7 @@ pub mod csv;
 pub mod format_ablation;
 pub mod loc;
 pub mod microbench;
+pub mod node;
 pub mod plot;
 pub mod profile;
 pub mod runner;
@@ -49,6 +50,7 @@ pub mod telemetry;
 
 pub use cli::Cli;
 pub use csv::CsvWriter;
+pub use node::{node_spmv, NodeSpmv};
 pub use plot::ScatterPlot;
 pub use runner::{for_each_corpus_matrix, validate_against_reference};
 pub use summary::{geomean, quantile};

@@ -20,9 +20,10 @@
 //!   in the same row of the CSV.
 //!
 //! Extends `serve_bench` (pool scaling within a node) and
-//! `ablation_multi_gpu` (device scaling under one runtime) one level
-//! up, with the same determinism contract: every row of the CSV is a
-//! pure function of the seeds, and CI byte-diffs two runs.
+//! `ablation_multi_gpu` (one SpMV across devices over the same
+//! `ShardPlan` partitioners, no runtime) one level up, with the same
+//! determinism contract: every row of the CSV is a pure function of the
+//! seeds, and CI byte-diffs two runs.
 
 use std::collections::HashMap;
 use std::path::PathBuf;

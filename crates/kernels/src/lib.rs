@@ -6,7 +6,9 @@
 //! provided tiles/atoms — so switching schedules never touches the math:
 //!
 //! * [`mod@spmv`] — sparse matrix × dense vector under *every* schedule
-//!   (Listing 3), the paper's benchmark application;
+//!   (Listing 3), the paper's benchmark application; [`spmv::spmv_rows`]
+//!   runs one contiguous row span, the per-device unit of multi-GPU
+//!   SpMV;
 //! * [`spmm`] — sparse matrix × dense matrix: Listing 4's "one extra loop"
 //!   around the same SpMV body;
 //! * [`formats`] — the same kernels written once against
@@ -19,9 +21,6 @@
 //!   data-centric graph algorithms (Listing 5): the *same* schedules
 //!   load-balance frontier expansion and power iteration, which is the
 //!   paper's reuse claim in action;
-//! * [`spmv_multi`] — SpMV partitioned across a simulated multi-GPU node
-//!   (the paper's §8 future work): the cross-device partition is itself a
-//!   load-balancing schedule;
 //! * [`triangle`] — triangle counting, the Logarithmic-Radix-Binning
 //!   workload of §7, on the same traversal engine;
 //! * [`reduce`], [`cg`] — device-wide reductions and a Conjugate Gradient
@@ -38,18 +37,15 @@ pub mod cg;
 pub mod formats;
 pub mod graph;
 pub mod pagerank;
-pub mod plan;
 pub mod reduce;
 pub mod reference;
 pub mod spgemm;
 pub mod spmm;
 pub mod spmv;
-pub mod spmv_multi;
 pub mod sssp;
 pub mod triangle;
 pub mod traversal;
 
 pub use formats::PreparedOperand;
 pub use graph::{Frontier, Graph};
-pub use plan::SpmvPlan;
 pub use spmv::{spmv, SpmvRun};

@@ -8,7 +8,7 @@
 //! returns both the result vector and the launch's timing report.
 
 use loops::adapters::CsrTiles;
-use loops::dispatch::{span_atoms, BalancedLaunch, TileExec};
+use loops::dispatch::{span_atoms, BalancedLaunch, KernelPlan, TileExec};
 pub use loops::dispatch::{DEFAULT_BLOCK, MERGE_ITEMS_PER_THREAD};
 use loops::schedule::{ScheduleKind, TileSpan};
 use simt::{CostModel, GlobalMem, GpuSpec, LaneCtx, LaunchConfig, LaunchReport};
@@ -105,9 +105,27 @@ pub fn spmv_with_model(
     })
 }
 
-/// Run SpMV with a prepared [`plan`](crate::plan::SpmvPlan): the schedule
-/// choice and any setup artifacts (merge-path partition table, LRB bins)
-/// come from the plan, so a cached plan skips the setup work a cold launch
+/// Prepare a reusable SpMV plan for `a` under a fixed schedule: the
+/// schedule resolution, block size, and pattern-only setup artifacts
+/// (merge-path partition table, LRB bins). The artifacts depend only on
+/// `a`'s sparsity pattern, so one plan serves *any* `x` — the unit a
+/// serving runtime caches per matrix.
+pub fn prepare(
+    spec: &GpuSpec,
+    model: &CostModel,
+    a: &Csr<f32>,
+    kind: ScheduleKind,
+    block_dim: u32,
+) -> simt::Result<KernelPlan> {
+    let work = CsrTiles::new(a);
+    BalancedLaunch::new(spec, model, &work)
+        .block_dim(block_dim)
+        .prepare(kind)
+}
+
+/// Run SpMV with a prepared plan (see [`prepare`]): the schedule choice
+/// and any setup artifacts (merge-path partition table, LRB bins) come
+/// from the plan, so a cached plan skips the setup work a cold launch
 /// pays. Results are bitwise identical to the cold path for the same
 /// schedule — the plan changes *when* work is found, never *what order*
 /// each row's products accumulate in.
@@ -116,7 +134,7 @@ pub fn spmv_with_plan(
     model: &CostModel,
     a: &Csr<f32>,
     x: &[f32],
-    plan: &crate::plan::SpmvPlan,
+    plan: &KernelPlan,
 ) -> simt::Result<SpmvRun> {
     assert_eq!(x.len(), a.cols(), "x must have one entry per column");
     let work = CsrTiles::new(a);
@@ -299,6 +317,17 @@ pub fn max_rel_error(got: &[f32], want: &[f32]) -> f32 {
 mod tests {
     use super::*;
 
+    fn bits(y: &[f32]) -> Vec<u32> {
+        y.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A report without its host wall-clock diagnostic, for equality.
+    fn strip(r: &LaunchReport) -> LaunchReport {
+        let mut r = r.clone();
+        r.host_wall_ms = 0.0;
+        r
+    }
+
     fn check_all_schedules(a: &Csr<f32>, spec: &GpuSpec) {
         let x = sparse::dense::test_vector(a.cols());
         let want = a.spmv_ref(&x);
@@ -450,12 +479,12 @@ mod tests {
                 let slice =
                     spmv_with_model(&spec, &model, &sliced, &x, kind, DEFAULT_BLOCK).unwrap();
                 assert_eq!(span.y.len(), range.len());
-                assert!(
-                    span.y
-                        .iter()
-                        .zip(&slice.y)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{kind} {range:?}: span vs row_slice bits differ"
+                assert_eq!(bits(&span.y), bits(&slice.y), "{kind} {range:?}: y bits differ");
+                assert_eq!(span.schedule, slice.schedule, "{kind} {range:?}");
+                assert_eq!(
+                    strip(&span.report),
+                    strip(&slice.report),
+                    "{kind} {range:?}: span vs row_slice launch reports differ"
                 );
             }
         }
@@ -484,15 +513,85 @@ mod tests {
             for range in [0..300usize, 300..1_024] {
                 let span =
                     spmv_rows(&spec, &model, &a, range.clone(), &x, kind, DEFAULT_BLOCK).unwrap();
-                assert!(
-                    span.y
-                        .iter()
-                        .zip(&full.y[range.clone()])
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                assert_eq!(
+                    bits(&span.y),
+                    bits(&full.y[range.clone()]),
                     "{kind} {range:?}: span bits differ from full-run slice"
                 );
             }
         }
+    }
+
+    #[test]
+    fn planned_results_are_bitwise_identical_across_all_schedules() {
+        let spec = GpuSpec::v100();
+        let model = CostModel::standard();
+        for a in [
+            sparse::gen::uniform(300, 250, 4_000, 21),
+            sparse::gen::powerlaw(600, 600, 12_000, 1.8, 22),
+            Csr::<f32>::empty(4, 4),
+        ] {
+            let x = sparse::dense::test_vector(a.cols());
+            for kind in [
+                ScheduleKind::ThreadMapped,
+                ScheduleKind::MergePath,
+                ScheduleKind::WarpMapped,
+                ScheduleKind::BlockMapped,
+                ScheduleKind::GroupMapped(16),
+                ScheduleKind::WorkQueue(8),
+                ScheduleKind::Lrb,
+            ] {
+                let cold = spmv_with_model(&spec, &model, &a, &x, kind, DEFAULT_BLOCK).unwrap();
+                let plan = prepare(&spec, &model, &a, kind, DEFAULT_BLOCK).unwrap();
+                let warm = spmv_with_plan(&spec, &model, &a, &x, &plan).unwrap();
+                assert_eq!(
+                    bits(&cold.y),
+                    bits(&warm.y),
+                    "{kind}: planned result differs from cold path"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cached_merge_path_plan_skips_search_cost() {
+        let spec = GpuSpec::v100();
+        let model = CostModel::standard();
+        let a = sparse::gen::powerlaw(5_000, 5_000, 120_000, 1.9, 23);
+        let x = sparse::dense::test_vector(a.cols());
+        let cold =
+            spmv_with_model(&spec, &model, &a, &x, ScheduleKind::MergePath, DEFAULT_BLOCK).unwrap();
+        let plan = prepare(&spec, &model, &a, ScheduleKind::MergePath, DEFAULT_BLOCK).unwrap();
+        let warm = spmv_with_plan(&spec, &model, &a, &x, &plan).unwrap();
+        assert!(
+            warm.report.timing.total_units < cold.report.timing.total_units,
+            "prepartitioned launch should issue less work: warm {} vs cold {}",
+            warm.report.timing.total_units,
+            cold.report.timing.total_units
+        );
+        assert!(warm.report.elapsed_ms() <= cold.report.elapsed_ms());
+    }
+
+    #[test]
+    fn cached_lrb_plan_skips_binning_launches() {
+        let spec = GpuSpec::v100();
+        let model = CostModel::standard();
+        let a = sparse::gen::powerlaw(3_000, 3_000, 60_000, 1.8, 24);
+        let x = sparse::dense::test_vector(a.cols());
+        let cold = spmv_with_model(&spec, &model, &a, &x, ScheduleKind::Lrb, DEFAULT_BLOCK).unwrap();
+        let plan = prepare(&spec, &model, &a, ScheduleKind::Lrb, DEFAULT_BLOCK).unwrap();
+        assert!(plan.setup_ms > 0.0);
+        let warm = spmv_with_plan(&spec, &model, &a, &x, &plan).unwrap();
+        assert_eq!(bits(&cold.y), bits(&warm.y));
+        // Cold pays the binning inside its report; warm paid it once at
+        // prepare time.
+        assert!(
+            warm.report.elapsed_ms() < cold.report.elapsed_ms(),
+            "warm {} vs cold {}",
+            warm.report.elapsed_ms(),
+            cold.report.elapsed_ms()
+        );
+        assert!(cold.report.elapsed_ms() >= warm.report.elapsed_ms() + 0.5 * plan.setup_ms);
     }
 
     #[test]

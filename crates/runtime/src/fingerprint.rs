@@ -1,13 +1,13 @@
 //! Matrix fingerprints — the plan-cache key.
 //!
-//! A prepared [`SpmvPlan`](kernels::plan::SpmvPlan) depends only on the
-//! matrix's *row structure*: the schedule heuristic reads `rows`/`cols`/
-//! `nnz`, the merge-path partition reads the row offsets, and LRB bins
-//! rows by length. The fingerprint therefore combines the shape, the
-//! row-length distribution summary ([`RowStats`]), and an FNV-1a hash of
-//! the row-offset array. Two matrices with the same fingerprint get the
-//! same plan; any change to the row structure changes the fingerprint and
-//! invalidates the cached plan.
+//! A prepared [`KernelPlan`](loops::dispatch::KernelPlan) depends only
+//! on the matrix's *row structure*: the schedule heuristic reads
+//! `rows`/`cols`/`nnz`, the merge-path partition reads the row offsets,
+//! and LRB bins rows by length. The fingerprint therefore combines the
+//! shape, the row-length distribution summary ([`RowStats`]), and an
+//! FNV-1a hash of the row-offset array. Two matrices with the same
+//! fingerprint get the same plan; any change to the row structure
+//! changes the fingerprint and invalidates the cached plan.
 
 use sparse::stats::RowStats;
 use sparse::Csr;

@@ -47,9 +47,8 @@ use std::sync::Arc;
 
 use kernels::formats::{self, PreparedOperand};
 use kernels::graph::Graph;
-use kernels::plan;
 use kernels::spmm;
-use kernels::spmv::{spmv_with_model, spmv_with_plan, SpmvRun, DEFAULT_BLOCK};
+use kernels::spmv::{self, spmv_with_model, spmv_with_plan, SpmvRun, DEFAULT_BLOCK};
 use kernels::traversal::TRAVERSAL_BLOCK;
 use kernels::bfs;
 use loops::dispatch::{trace_label, Candidate, KernelKind, KernelPlan};
@@ -219,6 +218,24 @@ impl Completion {
     pub fn latency_ms(&self) -> f64 {
         self.end_ms - self.arrival_ms
     }
+}
+
+/// Latency `(p50, p99, mean)` over a completion stream, picking each
+/// percentile by nearest rank on the sorted sample (all zero when the
+/// stream is empty). The one picker behind every [`RuntimeReport`]'s
+/// latency fields, sharded or not.
+pub fn latency_stats(completions: &[Completion]) -> (f64, f64, f64) {
+    if completions.is_empty() {
+        return (0.0, 0.0, 0.0);
+    }
+    let mut lat: Vec<f64> = completions.iter().map(Completion::latency_ms).collect();
+    lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let pick = |p: f64| -> f64 {
+        let idx = ((p * lat.len() as f64).ceil() as usize).max(1) - 1;
+        lat[idx.min(lat.len() - 1)]
+    };
+    let mean = lat.iter().sum::<f64>() / lat.len() as f64;
+    (pick(0.50), pick(0.99), mean)
 }
 
 /// Why a request was dropped instead of served.
@@ -1002,9 +1019,9 @@ impl Runtime {
     }
 
     /// Prepare the plan (and, for non-CSR cells, the converted operand)
-    /// an SpMV exploration serve runs through. The CSR cell takes the
-    /// pre-existing [`kernels::plan::prepare`] path so schedule-only
-    /// tuning stays byte-identical to the pre-format tuner.
+    /// an SpMV exploration serve runs through. The CSR cell takes
+    /// [`spmv::prepare`] so schedule-only tuning stays byte-identical to
+    /// the pre-format tuner.
     #[allow(clippy::type_complexity)]
     fn spmv_candidate_plan(
         &mut self,
@@ -1013,7 +1030,7 @@ impl Runtime {
         (kind, format): Candidate,
     ) -> simt::Result<(Arc<KernelPlan>, Option<Arc<PreparedOperand>>)> {
         if format == FormatKind::Csr {
-            let plan = plan::prepare(&self.spec, &self.model, a, kind, DEFAULT_BLOCK)?;
+            let plan = spmv::prepare(&self.spec, &self.model, a, kind, DEFAULT_BLOCK)?;
             Ok((Arc::new(plan), None))
         } else {
             let (op, _) = self.prepared_operand(fp, a, format)?;
@@ -1105,7 +1122,7 @@ impl Runtime {
     /// path) is re-prepared rather than silently un-pinning the caller:
     /// sharded merges are bitwise-correct only under the schedule the
     /// split layer chose. Warm and cold runs are bitwise identical
-    /// ([`kernels::plan`]'s contract).
+    /// ([`spmv::spmv_with_plan`]'s contract).
     pub fn run_spmv_pinned(
         &mut self,
         a: &Arc<Csr<f32>>,
@@ -1127,7 +1144,7 @@ impl Runtime {
                 }
             },
             None => {
-                let p = Arc::new(plan::prepare(&self.spec, &self.model, a, kind, DEFAULT_BLOCK)?);
+                let p = Arc::new(spmv::prepare(&self.spec, &self.model, a, kind, DEFAULT_BLOCK)?);
                 let run = spmv_with_plan(&self.spec, &self.model, a, x, &p)?;
                 self.cache.insert(key, p);
                 (run, false)
@@ -1488,21 +1505,7 @@ impl Runtime {
         }
 
         // Aggregate.
-        let mut latencies: Vec<f64> = completions.iter().map(Completion::latency_ms).collect();
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let pick = |p: f64| -> f64 {
-            if latencies.is_empty() {
-                0.0
-            } else {
-                let idx = ((p * latencies.len() as f64).ceil() as usize).max(1) - 1;
-                latencies[idx.min(latencies.len() - 1)]
-            }
-        };
-        let mean = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        };
+        let (latency_p50_ms, latency_p99_ms, latency_mean_ms) = latency_stats(&completions);
         let makespan_ms = completions.iter().fold(0.0f64, |m, c| m.max(c.end_ms));
         let cache_after = self.cache.stats();
         let report = RuntimeReport {
@@ -1524,9 +1527,9 @@ impl Runtime {
             },
             tune_explores: self.tuner.stats().explores - tune_before.explores,
             tune_promotes: self.tuner.stats().promotes - tune_before.promotes,
-            latency_p50_ms: pick(0.50),
-            latency_p99_ms: pick(0.99),
-            latency_mean_ms: mean,
+            latency_p50_ms,
+            latency_p99_ms,
+            latency_mean_ms,
             makespan_ms,
             shard: ShardCounters::default(),
             devices: self
@@ -1629,7 +1632,7 @@ impl Runtime {
                         {
                             Err(simt::LaunchError::EmptyLaunch)
                         } else {
-                            plan::prepare(&self.spec, &self.model, a, kind, DEFAULT_BLOCK)
+                            spmv::prepare(&self.spec, &self.model, a, kind, DEFAULT_BLOCK)
                         };
                         match prepared {
                             Ok(plan) => self.cache.insert(key, Arc::new(plan)),

@@ -28,8 +28,8 @@ use kernels::pagerank::{normalized_transpose, DAMPING};
 use loops::schedule::ScheduleKind;
 use runtime::split::{pinned_schedule, split_spmv};
 use runtime::{
-    Completion, DeviceReport, DropReason, DroppedRequest, QueuePolicy, Request, Runtime,
-    RuntimeConfig, RuntimeReport, ServeResult, ShardCounters,
+    latency_stats, Completion, DeviceReport, DropReason, DroppedRequest, QueuePolicy, Request,
+    Runtime, RuntimeConfig, RuntimeReport, ServeResult, ShardCounters,
 };
 use simt::exchange::halo_exchange;
 use simt::{GpuSpec, MultiGpuSpec};
@@ -527,22 +527,6 @@ impl ShardGroup {
             devices,
         }
     }
-}
-
-/// Stream-wide latency percentiles and mean, with the same picking rule
-/// as `Runtime::serve` (nearest-rank on the sorted sample).
-fn latency_stats(completions: &[Completion]) -> (f64, f64, f64) {
-    if completions.is_empty() {
-        return (0.0, 0.0, 0.0);
-    }
-    let mut lat: Vec<f64> = completions.iter().map(Completion::latency_ms).collect();
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let pick = |p: f64| -> f64 {
-        let idx = ((p * lat.len() as f64).ceil() as usize).max(1) - 1;
-        lat[idx.min(lat.len() - 1)]
-    };
-    let mean = lat.iter().sum::<f64>() / lat.len() as f64;
-    (pick(0.50), pick(0.99), mean)
 }
 
 /// Fold two per-shard reports into one: counters add, latency stats are

@@ -1,17 +1,63 @@
-//! Halo-exchange and merge charges for sharded execution — the
-//! communication half of the distributed cost model.
+//! The multi-device interconnect and the communication half of the
+//! distributed cost model — the paper's §8 future work ("expanding our
+//! model to a multi-GPU environment").
+//!
+//! A [`MultiGpuSpec`] is `n` identical devices joined by an NVLink-class
+//! link; [`MultiGpuSpec::transfer_ms`] prices one transfer over it.
+//! Devices run concurrently, so a node's makespan is the slowest device
+//! plus the transfers the algorithm needed — the intra-device max/sum
+//! shape one level up: *devices are just very large processing
+//! elements, and the partition across them is a schedule.*
 //!
 //! A sharded SpMV is bulk-synchronous: every shard first fetches the
 //! ghost entries of `x` it does not own (the *halo exchange*), all
 //! shards compute concurrently, and the aggregator then gathers the
-//! partial `y` slices (the *merge*). Both phases ride the same
-//! interconnect the multi-GPU model already prices
-//! ([`MultiGpuSpec::transfer_ms`]): switched links move every shard's
+//! partial `y` slices (the *merge*). Switched links move every shard's
 //! traffic concurrently, so each phase's wall time is bounded by its
-//! *largest* single transfer, not the sum — exactly the max/sum shape
-//! the intra-device model uses, one more level up.
+//! *largest* single transfer, not the sum.
 
-use crate::multi::MultiGpuSpec;
+use crate::spec::GpuSpec;
+
+/// A homogeneous multi-GPU node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MultiGpuSpec {
+    /// Per-device architecture.
+    pub device: GpuSpec,
+    /// Number of devices.
+    pub num_devices: u32,
+    /// Interconnect bandwidth per direction, GB/s (NVLink2 ≈ 150).
+    pub link_bw_gbs: f64,
+    /// Per-transfer interconnect latency, microseconds.
+    pub link_latency_us: f64,
+}
+
+impl MultiGpuSpec {
+    /// A DGX-1V-style node: `n` V100s over NVLink.
+    pub fn dgx_v100(n: u32) -> Self {
+        assert!(n >= 1, "need at least one device");
+        Self {
+            device: GpuSpec::v100(),
+            num_devices: n,
+            link_bw_gbs: 150.0,
+            link_latency_us: 2.0,
+        }
+    }
+
+    /// A test-sized node of tiny devices.
+    pub fn test_tiny(n: u32) -> Self {
+        Self {
+            device: GpuSpec::test_tiny(),
+            num_devices: n,
+            link_bw_gbs: 10.0,
+            link_latency_us: 1.0,
+        }
+    }
+
+    /// Time in milliseconds to move `bytes` over the interconnect once.
+    pub fn transfer_ms(&self, bytes: u64) -> f64 {
+        self.link_latency_us * 1e-3 + bytes as f64 / (self.link_bw_gbs * 1e9) * 1e3
+    }
+}
 
 /// The communication charge of one bulk-synchronous sharded operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,6 +115,19 @@ pub fn halo_exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn transfer_time_includes_latency_and_bandwidth() {
+        let m = MultiGpuSpec::dgx_v100(4);
+        let t = m.transfer_ms(150_000_000); // 1 ms at 150 GB/s
+        assert!((t - (1.0 + 0.002)).abs() < 1e-9, "t = {t}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one device")]
+    fn zero_devices_rejected() {
+        let _ = MultiGpuSpec::dgx_v100(0);
+    }
 
     #[test]
     fn single_shard_pays_nothing() {

@@ -80,7 +80,6 @@ pub mod host;
 pub mod lane;
 pub mod launch;
 pub mod memory;
-pub mod multi;
 pub mod occupancy;
 pub mod report;
 pub mod scheduler;
@@ -93,7 +92,7 @@ pub use block::BlockCtx;
 pub use cache::{CacheConfig, CacheSim, CacheStats};
 pub use cost::{CostModel, MemCounters};
 pub use error::{LaunchError, Result, SimError, SimResult};
-pub use exchange::{halo_exchange, ExchangeCost};
+pub use exchange::{halo_exchange, ExchangeCost, MultiGpuSpec};
 pub use fault::{FaultCounters, FaultPlan};
 pub use group::GroupCtx;
 pub use host::HostBackend;
@@ -103,7 +102,6 @@ pub use launch::{
     launch_with_model, BlockKernel, LaunchConfig,
 };
 pub use memory::{GlobalMem, Scalar};
-pub use multi::{combine as combine_multi, MultiGpuSpec, MultiLaunchReport};
 pub use occupancy::Occupancy;
 pub use report::{LaunchReport, TimingBreakdown};
 pub use shared::SharedBuf;

@@ -9,7 +9,7 @@
 //! point (see `DESIGN.md` §11).
 //!
 //! Three partitioners mirror the intra-device scheduling story one more
-//! level up (after `kernels::spmv_multi` did it across devices):
+//! level up — across shards and, one shard per device, across GPUs:
 //!
 //! * [`ShardStrategy::Rows1D`] — equal rows per shard (thread-mapped
 //!   writ large; vulnerable to nnz skew);

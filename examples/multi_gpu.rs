@@ -7,9 +7,10 @@
 //!
 //! Run with: `cargo run --release --example multi_gpu`
 
-use kernels::spmv_multi::{partition_rows, spmv_multi, Partition};
+use bench::node_spmv;
 use loops::schedule::ScheduleKind;
 use simt::MultiGpuSpec;
+use sparse::ShardStrategy;
 
 fn main() {
     // Power-law matrix with its rows sorted heaviest-first, so the skew is
@@ -35,24 +36,23 @@ fn main() {
     for n in [2u32, 4, 8] {
         let node = MultiGpuSpec::dgx_v100(n);
         println!("\n=== {n}x V100 over NVLink ===");
-        for (label, p) in [
-            ("row-blocks  (thread-mapped, device level)", Partition::RowBlocks),
-            ("nnz-balanced (merge-path, device level)", Partition::NnzBalanced),
+        for (label, s) in [
+            ("row-blocks  (thread-mapped, device level)", ShardStrategy::Rows1D),
+            ("nnz-balanced (merge-path, device level)", ShardStrategy::Nnz1D),
         ] {
-            let run = spmv_multi(&node, &a, &x, ScheduleKind::MergePath, p).expect("launch");
+            let run = node_spmv(&node, &a, &x, ScheduleKind::MergePath, s).expect("launch");
             let err = kernels::spmv::max_rel_error(&run.y, &want);
             assert!(err < 2e-3);
-            let shares: Vec<String> = partition_rows(&a, n, p)
-                .windows(2)
-                .map(|w| {
-                    let nnz = a.row_offsets()[w[1]] - a.row_offsets()[w[0]];
-                    format!("{:.0}%", 100.0 * nnz as f64 / a.nnz() as f64)
-                })
+            let shares: Vec<String> = run
+                .plan
+                .shards
+                .iter()
+                .map(|shard| format!("{:.0}%", 100.0 * shard.nnz as f64 / a.nnz() as f64))
                 .collect();
             println!(
                 "{label:<44} elapsed {:>8.3} ms   imbalance {:>5.2}   nnz shares [{}]",
-                run.report.elapsed_ms,
-                run.report.device_imbalance(),
+                run.elapsed_ms,
+                run.imbalance(),
                 shares.join(", ")
             );
         }

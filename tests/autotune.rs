@@ -123,7 +123,7 @@ fn tuner_converges_past_the_heuristic_on_a_banded_corpus() {
     // conversion, so its warm cost is below by an even wider margin.)
     let x = sparse::dense::test_vector(a.cols());
     let warm_csr = |kind| {
-        let plan = kernels::plan::prepare(&spec, &model, &a, kind, DEFAULT_BLOCK).unwrap();
+        let plan = kernels::spmv::prepare(&spec, &model, &a, kind, DEFAULT_BLOCK).unwrap();
         kernels::spmv::spmv_with_plan(&spec, &model, &a, &x, &plan)
             .unwrap()
             .report

@@ -7,7 +7,9 @@
 //!   the full [`simt::LaunchReport`];
 //! * **SpMM** against per-column SpMV under the same schedule — Listing
 //!   4's "a loop wrapped around SpMV" claim, checked to the last bit;
-//! * **multi-GPU SpMV** against the legacy path applied per row block;
+//! * **sharded SpMV** — [`kernels::spmv::spmv_rows`] over every
+//!   [`sparse::ShardPlan`] shard — against the legacy path applied per
+//!   row block;
 //! * **BFS / SSSP / triangle** exactly against sequential references
 //!   (integer outputs, and SSSP's unique `min`-fixpoint);
 //! * **PageRank / CG** for bitwise run-to-run determinism per schedule,
@@ -20,10 +22,9 @@
 //! random matrices, schedules, and block sizes.
 
 use kernels::graph::Graph;
-use kernels::spmv_multi::{spmv_multi, Partition};
 use loops::schedule::ScheduleKind;
 use simt::{CostModel, GpuSpec, LaunchReport};
-use sparse::{Csr, DenseMatrix, FormatKind, Prng};
+use sparse::{Csr, DenseMatrix, FormatKind, Prng, ShardPlan, ShardStrategy};
 
 const ALL_KINDS: [ScheduleKind; 7] = [
     ScheduleKind::ThreadMapped,
@@ -95,23 +96,33 @@ fn spmm_every_schedule_is_bitwise_a_loop_around_spmv() {
 }
 
 #[test]
-fn spmv_multi_every_schedule_and_partition_matches_the_legacy_path_per_block() {
-    let mspec = simt::MultiGpuSpec::test_tiny(2);
+fn sharded_spmv_every_schedule_and_partition_matches_the_legacy_path_per_block() {
+    let spec = GpuSpec::test_tiny();
     let model = CostModel::standard();
     for a in corpus() {
         let x = sparse::dense::test_vector(a.cols());
         for kind in ALL_KINDS {
-            for part in [Partition::RowBlocks, Partition::NnzBalanced] {
-                let run = spmv_multi(&mspec, &a, &x, kind, part).unwrap();
-                let mut want = Vec::with_capacity(a.rows());
-                for w in run.boundaries.windows(2) {
-                    let block = a.row_slice(w[0]..w[1]);
+            for strategy in [ShardStrategy::Rows1D, ShardStrategy::Nnz1D] {
+                let plan = ShardPlan::partition(&a, 2, strategy);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for shard in &plan.shards {
+                    let run = kernels::spmv::spmv_rows(
+                        &spec,
+                        &model,
+                        &a,
+                        shard.rows.clone(),
+                        &x,
+                        kind,
+                        256,
+                    )
+                    .unwrap();
+                    got.extend(run.y);
+                    let block = a.row_slice(shard.rows.clone());
                     let (ly, _, _) =
-                        legacy::spmv_with_model(&mspec.device, &model, &block, &x, kind, 256)
-                            .unwrap();
+                        legacy::spmv_with_model(&spec, &model, &block, &x, kind, 256).unwrap();
                     want.extend(ly);
                 }
-                assert_eq!(bits(&run.y), bits(&want), "spmv_multi {kind} {part:?}");
+                assert_eq!(bits(&got), bits(&want), "sharded spmv {kind} {strategy:?}");
             }
         }
     }

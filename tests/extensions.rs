@@ -2,10 +2,11 @@
 //! work-queue schedule, the ELL pre-balanced format, PageRank, and
 //! multi-GPU partitioned SpMV — all against CPU references.
 
-use kernels::spmv_multi::{spmv_multi, Partition};
+use bench::node_spmv;
 use kernels::Graph;
 use loops::schedule::ScheduleKind;
 use simt::{GpuSpec, MultiGpuSpec};
+use sparse::ShardStrategy;
 
 #[test]
 fn work_queue_spmv_matches_reference_across_chunks() {
@@ -56,17 +57,17 @@ fn multi_gpu_matches_single_gpu_numerically() {
     let x = sparse::dense::test_vector(a.cols());
     let single = kernels::spmv(&GpuSpec::v100(), &a, &x, ScheduleKind::MergePath).unwrap();
     for d in [2u32, 4, 8] {
-        let multi = spmv_multi(
+        let multi = node_spmv(
             &MultiGpuSpec::dgx_v100(d),
             &a,
             &x,
             ScheduleKind::MergePath,
-            Partition::NnzBalanced,
+            ShardStrategy::Nnz1D,
         )
         .unwrap();
         let err = kernels::spmv::max_rel_error(&multi.y, &single.y);
         assert!(err < 1e-4, "d={d}: err {err}");
-        assert_eq!(*multi.boundaries.last().unwrap(), a.rows());
+        assert_eq!(*multi.plan.boundaries.last().unwrap(), a.rows());
     }
 }
 
@@ -74,25 +75,26 @@ fn multi_gpu_matches_single_gpu_numerically() {
 fn multi_gpu_comm_cost_appears_only_beyond_one_device() {
     let a = sparse::gen::uniform(10_000, 10_000, 200_000, 105);
     let x = sparse::dense::test_vector(a.cols());
-    let one = spmv_multi(
+    let one = node_spmv(
         &MultiGpuSpec::dgx_v100(1),
         &a,
         &x,
         ScheduleKind::MergePath,
-        Partition::RowBlocks,
+        ShardStrategy::Rows1D,
     )
     .unwrap();
-    assert_eq!(one.report.comm_ms, 0.0);
-    let four = spmv_multi(
+    assert_eq!(one.comm_ms, 0.0);
+    let four = node_spmv(
         &MultiGpuSpec::dgx_v100(4),
         &a,
         &x,
         ScheduleKind::MergePath,
-        Partition::RowBlocks,
+        ShardStrategy::Rows1D,
     )
     .unwrap();
-    assert!(four.report.comm_ms > 0.0);
-    assert_eq!(four.report.per_device.len(), 4);
+    assert!(four.comm_ms > 0.0);
+    assert_eq!(four.device_ms.len(), 4);
+    assert_eq!(four.elapsed_ms, four.critical_ms() + four.comm_ms);
 }
 
 #[test]
