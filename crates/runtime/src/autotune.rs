@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use loops::dispatch::{Candidate, KernelPlan};
-use sparse::Prng;
+use sparse::{FormatKind, Prng};
 
 use crate::cache::PlanKey;
 
@@ -80,17 +80,17 @@ impl Default for TuneConfig {
 
 /// What the tuner asks the caller to do for one plan-cache miss.
 #[derive(Debug, Clone)]
-pub enum TuneAction {
+pub(crate) enum TuneAction {
     /// Serve under this unmeasured (schedule × format) candidate, then
-    /// report the measured cost (and the prepared plan) back through
+    /// report the measured cost and the prepared plan back through
     /// [`Autotuner::record`].
     Explore(Candidate),
     /// Serve under the best-measured candidate; nothing to report.
     Exploit {
         /// The best-measured (schedule × format) cell so far.
         candidate: Candidate,
-        /// Its retained plan, if one was recorded (serve through it).
-        plan: Option<Arc<KernelPlan>>,
+        /// Its recorded plan (serve through it).
+        plan: Arc<KernelPlan>,
         /// `true` if this key already promoted a winner but the plan
         /// cache has since evicted it — the caller should re-insert
         /// `plan` so the warm path resumes.
@@ -101,7 +101,7 @@ pub enum TuneAction {
 /// A completed sweep: the winning candidate to install in the plan
 /// cache.
 #[derive(Debug, Clone)]
-pub struct Promotion {
+pub(crate) struct Promotion {
     /// The winning (schedule × format) cell.
     pub candidate: Candidate,
     /// Its prepared plan, ready to insert into the cache.
@@ -128,10 +128,8 @@ struct KeyState {
     order: Vec<Candidate>,
     /// Measured warm-path cost per candidate, parallel to `order`.
     costs: Vec<Option<f64>>,
-    /// Index and cost of the best-measured candidate.
-    best: Option<(usize, f64)>,
-    /// The best candidate's prepared plan.
-    best_plan: Option<Arc<KernelPlan>>,
+    /// Index, cost and prepared plan of the best-measured candidate.
+    best: Option<(usize, f64, Arc<KernelPlan>)>,
     /// The sweep finished and its winner was handed out.
     promoted: bool,
 }
@@ -145,7 +143,7 @@ impl KeyState {
 /// The online schedule autotuner: per-[`PlanKey`] sweep state plus the
 /// seeded exploration stream. See the module docs for the policy.
 #[derive(Debug)]
-pub struct Autotuner {
+pub(crate) struct Autotuner {
     cfg: TuneConfig,
     rng: Prng,
     states: HashMap<PlanKey, KeyState>,
@@ -165,11 +163,6 @@ impl Autotuner {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> TuneConfig {
-        self.cfg
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> TuneStats {
         TuneStats {
@@ -182,7 +175,8 @@ impl Autotuner {
     /// Decide how to serve a plan-cache miss for `key`. Returns `None`
     /// when the caller should use the static-heuristic path unchanged:
     /// tuning disabled, the key table full, or an empty candidate space.
-    /// `enumerate` is only invoked the first time a key is seen.
+    /// `enumerate` is only invoked the first time a key is seen; its
+    /// non-CSR cells are dropped unless [`TuneConfig::formats`] is on.
     pub fn choose(
         &mut self,
         key: PlanKey,
@@ -196,6 +190,9 @@ impl Autotuner {
                 return None;
             }
             let mut order = enumerate();
+            if !self.cfg.formats {
+                order.retain(|&(_, f)| f == FormatKind::Csr);
+            }
             // Seeded Fisher–Yates: unbias which candidate eats the
             // first-exploration latency, deterministically.
             for i in (1..order.len()).rev() {
@@ -209,7 +206,6 @@ impl Autotuner {
                     order,
                     costs,
                     best: None,
-                    best_plan: None,
                     promoted: false,
                 },
             );
@@ -217,42 +213,23 @@ impl Autotuner {
         // Epsilon draw happens before borrowing the state so the
         // generator is consumed in a fixed order.
         let coin = self.rng.f64();
-        let state = self.states.get_mut(&key).expect("state just ensured");
-        if state.order.is_empty() {
-            return None;
-        }
-        if state.promoted {
-            let (bi, _) = state.best.expect("promoted key has a best");
-            return Some(TuneAction::Exploit {
-                candidate: state.order[bi],
-                plan: state.best_plan.clone(),
-                promote: true,
-            });
-        }
-        match (state.next_unmeasured(), state.best) {
-            // Nothing measured yet: the only way to learn is to explore.
-            (Some(i), None) => Some(TuneAction::Explore(state.order[i])),
-            (Some(i), Some((bi, _))) => {
-                if coin < self.cfg.epsilon {
-                    Some(TuneAction::Explore(state.order[i]))
-                } else {
-                    Some(TuneAction::Exploit {
-                        candidate: state.order[bi],
-                        plan: state.best_plan.clone(),
-                        promote: false,
-                    })
-                }
+        let state = &self.states[&key];
+        match (state.next_unmeasured(), &state.best) {
+            // Nothing measured yet, the only way to learn is to explore;
+            // after that, explore with probability epsilon.
+            (Some(i), best) if best.is_none() || coin < self.cfg.epsilon => {
+                Some(TuneAction::Explore(state.order[i]))
             }
-            // Fully measured but not promoted: `record` promotes as the
-            // last measurement lands, so this only happens if that
-            // promotion's cache entry was lost before `record` ran —
-            // treat as exploit.
-            (None, Some((bi, _))) => Some(TuneAction::Exploit {
-                candidate: state.order[bi],
-                plan: state.best_plan.clone(),
-                promote: false,
+            // Exploit the best so far. A promoted key only misses when
+            // LRU eviction dropped its winner, which the caller
+            // re-installs.
+            (_, Some((bi, _, plan))) => Some(TuneAction::Exploit {
+                candidate: state.order[*bi],
+                plan: Arc::clone(plan),
+                promote: state.promoted,
             }),
-            (None, None) => None,
+            // An empty candidate space.
+            (_, None) => None,
         }
     }
 
@@ -266,7 +243,7 @@ impl Autotuner {
         key: PlanKey,
         candidate: Candidate,
         cost_ms: f64,
-        plan: Option<Arc<KernelPlan>>,
+        plan: Arc<KernelPlan>,
     ) -> Option<Promotion> {
         let state = self.states.get_mut(&key)?;
         let slot = state.order.iter().position(|k| *k == candidate)?;
@@ -275,27 +252,18 @@ impl Autotuner {
             self.explores += 1;
             // Strict less-than: ties keep the earlier-measured candidate,
             // so the winner never depends on float comparison quirks.
-            let better = match state.best {
-                None => true,
-                Some((_, best_cost)) => cost_ms < best_cost,
-            };
-            if better {
-                state.best = Some((slot, cost_ms));
-                state.best_plan = plan;
+            if state.best.as_ref().is_none_or(|(_, best, _)| cost_ms < *best) {
+                state.best = Some((slot, cost_ms, plan));
             }
         }
         if state.next_unmeasured().is_none() && !state.promoted {
             state.promoted = true;
             self.promotes += 1;
-            let (bi, best_cost) = state.best.expect("measured sweep has a best");
-            let plan = state
-                .best_plan
-                .clone()
-                .expect("every recorded candidate carried a plan");
+            let (bi, best_cost, plan) = state.best.as_ref().expect("measured sweep has a best");
             return Some(Promotion {
-                candidate: state.order[bi],
-                plan,
-                cost_ms: best_cost,
+                candidate: state.order[*bi],
+                plan: Arc::clone(plan),
+                cost_ms: *best_cost,
             });
         }
         None
@@ -313,18 +281,13 @@ impl Autotuner {
         before - self.states.len()
     }
 
-    /// Whether `key`'s sweep has completed and promoted a winner.
-    pub fn is_promoted(&self, key: &PlanKey) -> bool {
-        self.states.get(key).is_some_and(|s| s.promoted)
-    }
-
     /// The promoted winner for `key`, if its sweep completed.
     pub fn winner(&self, key: &PlanKey) -> Option<Candidate> {
         let state = self.states.get(key)?;
         if !state.promoted {
             return None;
         }
-        state.best.map(|(i, _)| state.order[i])
+        state.best.as_ref().map(|(i, _, _)| state.order[*i])
     }
 }
 
@@ -334,7 +297,6 @@ mod tests {
     use crate::fingerprint::Fingerprint;
     use loops::dispatch::KernelKind;
     use loops::schedule::ScheduleKind;
-    use sparse::FormatKind;
 
     fn key(rows: usize) -> PlanKey {
         // Distinct row counts guarantee distinct fingerprints (the
@@ -372,7 +334,7 @@ mod tests {
         for _ in 0..1000 {
             match tuner.choose(k, space) {
                 Some(TuneAction::Explore(c)) => {
-                    if let Some(p) = tuner.record(k, c, cost_of(c), Some(plan(c))) {
+                    if let Some(p) = tuner.record(k, c, cost_of(c), plan(c)) {
                         return p;
                     }
                 }
@@ -421,7 +383,7 @@ mod tests {
             Some(TuneAction::Exploit { candidate, plan, promote }) => {
                 assert_eq!(candidate, winner);
                 assert!(promote);
-                assert_eq!(plan.unwrap().schedule, ScheduleKind::ThreadMapped);
+                assert_eq!(plan.schedule, ScheduleKind::ThreadMapped);
             }
             other => panic!("expected promoted exploit, got {other:?}"),
         }
@@ -449,7 +411,7 @@ mod tests {
                 }) {
                     Some(TuneAction::Explore((kind, fmt))) => {
                         seq.push(format!("explore {kind}/{fmt}"));
-                        t.record(k, (kind, fmt), 1.0 + seq.len() as f64, Some(plan((kind, fmt))));
+                        t.record(k, (kind, fmt), 1.0 + seq.len() as f64, plan((kind, fmt)));
                     }
                     Some(TuneAction::Exploit { candidate: (kind, fmt), .. }) => {
                         seq.push(format!("exploit {kind}/{fmt}"));
@@ -492,7 +454,7 @@ mod tests {
         let Some(TuneAction::Explore(first)) = t.choose(k, space) else {
             panic!("first serve must explore");
         };
-        t.record(k, first, 2.0, Some(plan(first)));
+        t.record(k, first, 2.0, plan(first));
         // With epsilon 0 the sweep stalls on exploit — always best-so-far.
         for _ in 0..10 {
             match t.choose(k, space) {

@@ -82,14 +82,25 @@ impl PlanCache {
 
     /// Look up a plan, counting the hit or miss.
     pub fn get(&mut self, key: &PlanKey) -> Option<Arc<KernelPlan>> {
+        self.get_if(key, |_| true)
+    }
+
+    /// Look up a plan the caller can use: a live entry that fails
+    /// `accept` counts as a miss, like an absent one (the caller
+    /// prepares a replacement).
+    pub(crate) fn get_if(
+        &mut self,
+        key: &PlanKey,
+        accept: impl FnOnce(&KernelPlan) -> bool,
+    ) -> Option<Arc<KernelPlan>> {
         self.clock += 1;
         match self.entries.get_mut(key) {
-            Some((plan, used)) => {
+            Some((plan, used)) if accept(plan) => {
                 *used = self.clock;
                 self.stats.hits += 1;
                 Some(Arc::clone(plan))
             }
-            None => {
+            _ => {
                 self.stats.misses += 1;
                 None
             }

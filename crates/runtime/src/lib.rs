@@ -9,14 +9,16 @@
 //!   requests dispatch to the earliest-available stream (least-loaded
 //!   device on ties), so kernels overlap across streams and devices
 //!   exactly as the stream model allows.
-//! * **Plan cache** ([`PlanCache`]) — prepared engine
-//!   [`KernelPlan`]s memoized by
-//!   [`PlanKey`] (kernel + storage format + matrix [`Fingerprint`]): a hit skips
-//!   schedule selection and setup (LRB binning, merge-path partition
-//!   search) and launches the cheaper prepartitioned kernel. Results
-//!   stay bitwise identical to the cold path. SpMV requests flow through
-//!   it inside [`Runtime::serve`]; [`Runtime::run_spmm`] and
-//!   [`Runtime::run_bfs`] give SpMM and BFS the same warm path.
+//! * **Plan cache** ([`PlanCache`]) — prepared engine [`KernelPlan`]s
+//!   memoized by [`PlanKey`] (kernel + storage format + matrix
+//!   [`Fingerprint`]): a hit skips schedule selection and setup (LRB
+//!   binning, merge-path partition search) and launches the cheaper
+//!   prepartitioned kernel. Results stay bitwise identical to the cold
+//!   path. One planned path, written once over a per-kernel trait,
+//!   does the lookup, the poisoned-plan fallback and the [`autotune`]
+//!   sweep for SpMV requests inside [`Runtime::serve`], for
+//!   [`Runtime::run_spmm`] and [`Runtime::run_bfs`], and (pinned, no
+//!   tuner) for [`Runtime::run_spmv_pinned`].
 //! * **Small-request batcher** ([`batch`]) — tiny SpMVs wait up to a
 //!   short window and fuse into one block-diagonal launch, paying the
 //!   launch overhead once.
@@ -48,7 +50,7 @@ use std::sync::Arc;
 use kernels::formats::{self, PreparedOperand};
 use kernels::graph::Graph;
 use kernels::spmm;
-use kernels::spmv::{self, spmv_with_model, spmv_with_plan, SpmvRun, DEFAULT_BLOCK};
+use kernels::spmv::{self, spmv_with_model, spmv_with_plan, DEFAULT_BLOCK};
 use kernels::traversal::TRAVERSAL_BLOCK;
 use kernels::bfs;
 use loops::dispatch::{trace_label, Candidate, KernelKind, KernelPlan};
@@ -58,7 +60,9 @@ use simt::{CostModel, DeviceSim, FaultCounters, FaultPlan, GpuSpec, LaunchReport
 use sparse::{Csr, DenseMatrix, FormatKind, Prng};
 use trace::{CounterKind, RequestPhase, TenantOutcome, TraceEvent, TraceSink, TunePhase};
 
-pub use autotune::{Autotuner, TuneAction, TuneConfig, TuneStats};
+use autotune::{Autotuner, TuneAction};
+
+pub use autotune::{TuneConfig, TuneStats};
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use fingerprint::{Fingerprint, HeaderStamp};
 pub use split::{decomposable, pinned_schedule, split_spmv, SplitRun};
@@ -648,6 +652,205 @@ pub struct PlannedRun<T> {
     pub cache_hit: bool,
 }
 
+impl<T> PlannedRun<T> {
+    /// An uncached run's outcome (the planned-serve steps set
+    /// `cache_hit`).
+    fn new(output: T, report: LaunchReport, schedule: ScheduleKind) -> Self {
+        Self {
+            output,
+            report,
+            schedule,
+            cache_hit: false,
+        }
+    }
+}
+
+/// One kernel the runtime serves through the plan cache and the
+/// autotuner, carrying its operands. Lookup, poisoned-plan fallback and
+/// the tuner's explore/exploit/promote loop are written once over this
+/// trait ([`Runtime::cached_or_tuned`]); an impl says only how its
+/// kernel prepares a plan and runs with or without one, on `rt`'s
+/// device spec and cost model.
+trait ServedKernel {
+    /// The kernel's output (`y`, `C`, or BFS depths).
+    type Output;
+    /// The engine kernel, the first component of every [`PlanKey`].
+    const KIND: KernelKind;
+    /// The sparse operand plans are prepared over.
+    fn matrix(&self) -> &Csr<f32>;
+    /// Prepare a plan for schedule `kind`, over `op` for a non-CSR cell.
+    fn prepare(
+        &self,
+        rt: &Runtime,
+        kind: ScheduleKind,
+        op: Option<&PreparedOperand>,
+    ) -> simt::Result<KernelPlan>;
+    /// Run under a prepared plan, from `op` for a non-CSR cell —
+    /// bitwise identical to the cold run of the plan's schedule.
+    fn run_planned(
+        &self,
+        rt: &Runtime,
+        plan: &KernelPlan,
+        op: Option<&PreparedOperand>,
+    ) -> simt::Result<PlannedRun<Self::Output>>;
+    /// Run from CSR without a plan.
+    fn run_cold(&self, rt: &Runtime, kind: ScheduleKind) -> simt::Result<PlannedRun<Self::Output>>;
+}
+
+/// `y = a·x`.
+struct Spmv<'a> {
+    a: &'a Csr<f32>,
+    x: &'a [f32],
+}
+
+impl ServedKernel for Spmv<'_> {
+    type Output = Vec<f32>;
+    const KIND: KernelKind = KernelKind::Spmv;
+
+    fn matrix(&self) -> &Csr<f32> {
+        self.a
+    }
+
+    fn prepare(
+        &self,
+        rt: &Runtime,
+        kind: ScheduleKind,
+        op: Option<&PreparedOperand>,
+    ) -> simt::Result<KernelPlan> {
+        let (spec, model) = (&rt.spec, &rt.model);
+        match op {
+            None => spmv::prepare(spec, model, self.a, kind, DEFAULT_BLOCK),
+            Some(op) => formats::prepare_format_plan(spec, model, self.a, op, kind, DEFAULT_BLOCK),
+        }
+    }
+
+    fn run_planned(
+        &self,
+        rt: &Runtime,
+        plan: &KernelPlan,
+        op: Option<&PreparedOperand>,
+    ) -> simt::Result<PlannedRun<Vec<f32>>> {
+        let (spec, model) = (&rt.spec, &rt.model);
+        let run = match op {
+            None => spmv_with_plan(spec, model, self.a, self.x, plan)?,
+            Some(op) => formats::spmv_format_with_plan(spec, model, self.a, op, self.x, plan)?,
+        };
+        Ok(PlannedRun::new(run.y, run.report, run.schedule))
+    }
+
+    fn run_cold(&self, rt: &Runtime, kind: ScheduleKind) -> simt::Result<PlannedRun<Vec<f32>>> {
+        let run = spmv_with_model(&rt.spec, &rt.model, self.a, self.x, kind, DEFAULT_BLOCK)?;
+        Ok(PlannedRun::new(run.y, run.report, run.schedule))
+    }
+}
+
+/// `C = a·B`.
+struct Spmm<'a> {
+    a: &'a Csr<f32>,
+    b: &'a DenseMatrix<f32>,
+}
+
+impl ServedKernel for Spmm<'_> {
+    type Output = DenseMatrix<f32>;
+    const KIND: KernelKind = KernelKind::Spmm;
+
+    fn matrix(&self) -> &Csr<f32> {
+        self.a
+    }
+
+    fn prepare(
+        &self,
+        rt: &Runtime,
+        kind: ScheduleKind,
+        op: Option<&PreparedOperand>,
+    ) -> simt::Result<KernelPlan> {
+        let (spec, model) = (&rt.spec, &rt.model);
+        match op {
+            None => spmm::prepare(spec, model, self.a, kind),
+            // Schedule-only: format cells run flat spans, which carry no
+            // artifacts.
+            Some(op) => formats::prepare_format_plan(spec, model, self.a, op, kind, DEFAULT_BLOCK),
+        }
+    }
+
+    fn run_planned(
+        &self,
+        rt: &Runtime,
+        plan: &KernelPlan,
+        op: Option<&PreparedOperand>,
+    ) -> simt::Result<PlannedRun<DenseMatrix<f32>>> {
+        let (spec, model) = (&rt.spec, &rt.model);
+        let run = match op {
+            None => spmm::spmm_with_plan(spec, model, self.a, self.b, plan)?,
+            Some(op) => formats::spmm_format(spec, model, self.a, op, self.b, plan.schedule)?,
+        };
+        Ok(PlannedRun::new(run.c, run.report, run.schedule))
+    }
+
+    fn run_cold(&self, rt: &Runtime, kind: ScheduleKind) -> simt::Result<PlannedRun<Self::Output>> {
+        let run = spmm::spmm_with_model(&rt.spec, &rt.model, self.a, self.b, kind)?;
+        Ok(PlannedRun::new(run.c, run.report, run.schedule))
+    }
+}
+
+/// Hop depths from `src` over `g.adjacency()` (frontier kernels are
+/// CSR-only).
+struct Bfs<'a> {
+    g: &'a Graph,
+    src: usize,
+}
+
+impl ServedKernel for Bfs<'_> {
+    type Output = Vec<u32>;
+    const KIND: KernelKind = KernelKind::Bfs;
+
+    fn matrix(&self) -> &Csr<f32> {
+        self.g.adjacency()
+    }
+
+    /// A traversal plan is schedule-only: no partition artifacts survive
+    /// the per-level frontier churn.
+    fn prepare(
+        &self,
+        _: &Runtime,
+        kind: ScheduleKind,
+        _: Option<&PreparedOperand>,
+    ) -> simt::Result<KernelPlan> {
+        Ok(KernelPlan {
+            schedule: kind,
+            block_dim: TRAVERSAL_BLOCK,
+            merge_starts: None,
+            lrb: None,
+            setup_ms: 0.0,
+        })
+    }
+
+    fn run_planned(
+        &self,
+        rt: &Runtime,
+        plan: &KernelPlan,
+        _: Option<&PreparedOperand>,
+    ) -> simt::Result<PlannedRun<Vec<u32>>> {
+        self.run_cold(rt, plan.schedule)
+    }
+
+    fn run_cold(&self, rt: &Runtime, kind: ScheduleKind) -> simt::Result<PlannedRun<Vec<u32>>> {
+        let run = bfs::bfs_with_model(&rt.spec, &rt.model, self.g, self.src, kind)?;
+        Ok(PlannedRun::new(run.depth, run.report, kind))
+    }
+}
+
+/// How one job's run resolved.
+struct Served<T> {
+    /// The run, its `cache_hit` set.
+    run: PlannedRun<T>,
+    /// The storage format it was served from.
+    format: FormatKind,
+    /// A plan failed (a poisoned cached plan, or a candidate that would
+    /// not prepare) and the run fell back to the cold path.
+    fell_back: bool,
+}
+
 impl Runtime {
     /// A pool of `cfg.devices` copies of `spec` with the standard cost
     /// model and the paper's schedule heuristic.
@@ -860,8 +1063,7 @@ impl Runtime {
     }
 
     /// Fetch (or deterministically convert and memoize) `a` prepared in
-    /// `format`. The bool is true when this call performed the
-    /// conversion — the caller charges the modeled cost exactly then.
+    /// `format`; the CSR cell serves from `a` itself (`None`).
     ///
     /// Fingerprints are deliberately pattern-only
     /// (`value_changes_keep_fingerprint`), but a converted operand
@@ -878,10 +1080,13 @@ impl Runtime {
         fp: Fingerprint,
         a: &Csr<f32>,
         format: FormatKind,
-    ) -> simt::Result<(Arc<PreparedOperand>, bool)> {
+    ) -> simt::Result<Option<Arc<PreparedOperand>>> {
+        if format == FormatKind::Csr {
+            return Ok(None);
+        }
         if let Some(entry) = self.operands.get(&(fp, format)) {
             if entry.epoch == a.value_epoch() {
-                return Ok((Arc::clone(&entry.op), false));
+                return Ok(Some(Arc::clone(&entry.op)));
             }
         }
         let op = Arc::new(PreparedOperand::prepare(a, format)?);
@@ -895,7 +1100,7 @@ impl Runtime {
                 op: Arc::clone(&op),
             },
         );
-        Ok((op, true))
+        Ok(Some(op))
     }
 
     fn emit_tune(
@@ -925,192 +1130,134 @@ impl Runtime {
         }
     }
 
-    /// Serve one solo SpMV plan-cache miss through the autotuner, if it
-    /// wants the key. Returns `None` when the static-heuristic path
-    /// should run unchanged (tuning disabled, or the key table is
-    /// full). Exploration serves run the candidate's *planned* warm
-    /// path, so the recorded cost is exactly the steady-state cost the
-    /// cache would serve after promotion; a candidate whose plan fails
-    /// to prepare is served via the heuristic and stays unmeasured (a
-    /// later miss retries it).
-    fn spmv_tuned_miss(
+    /// The planned-serve steps every kernel shares, up to an untuned
+    /// miss. The plan is looked up under the tuner's winner format and a
+    /// hit runs through it; a cached plan whose launch fails is treated
+    /// as poisoned, evicted, and the call falls back to the cold path
+    /// rather than failing. A miss goes to the autotuner, which either
+    /// explores a candidate on its *planned* (warm) path — so the
+    /// recorded cost is exactly the steady-state cost the cache serves
+    /// after promotion — or exploits the best-known cell. A candidate
+    /// whose plan fails to prepare is served cold and stays unmeasured
+    /// (a later miss retries it). `pin` fixes the schedule: hits must
+    /// match it and the tuner stays out. `now` stamps tune events.
+    /// `None` means an untuned miss, which the caller finishes.
+    fn cached_or_tuned<K: ServedKernel>(
         &mut self,
-        key: PlanKey,
-        a: &Csr<f32>,
-        x: &[f32],
-        now: f64,
-        ctrs: &mut ServeCounters,
-    ) -> simt::Result<Option<(SpmvRun, FormatKind)>> {
-        let formats_on = self.cfg.tune.formats;
-        let Some(action) = self.tuner.choose(key, || {
-            let mut space = loops::dispatch::candidates(KernelKind::Spmv, a);
-            if !formats_on {
-                space.retain(|&(_, f)| f == FormatKind::Csr);
-            }
-            space
-        }) else {
-            return Ok(None);
-        };
-        match action {
-            TuneAction::Explore((kind, format)) => {
-                let prepared = self.spmv_candidate_plan(key.fp, a, (kind, format));
-                match prepared {
-                    Ok((plan, op)) => {
-                        let run = match &op {
-                            Some(op) => formats::spmv_format_with_plan(
-                                &self.spec, &self.model, a, op, x, &plan,
-                            )?,
-                            None => spmv_with_plan(&self.spec, &self.model, a, x, &plan)?,
-                        };
-                        // The recorded cost is the steady-state (warm)
-                        // cost plus the amortized share of the one-time
-                        // conversion — CSR's share is zero.
-                        let convert = op.as_ref().map_or(0.0, |o| o.convert_ms());
-                        let cost =
-                            run.report.elapsed_ms() + convert / CONVERT_AMORTIZE_SERVES;
-                        self.emit_tune(key.kernel, (kind, format), TunePhase::Explore, now, cost);
-                        if let Some(p) = self.tuner.record(key, (kind, format), cost, Some(plan)) {
-                            self.emit_tune(key.kernel, p.candidate, TunePhase::Promote, now, p.cost_ms);
-                            self.cache
-                                .insert(PlanKey { format: p.candidate.1, ..key }, p.plan);
-                        }
-                        Ok(Some((run, format)))
-                    }
-                    Err(_) => {
-                        ctrs.plan_fallbacks += 1;
-                        let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
-                        Ok(Some((
-                            spmv_with_model(&self.spec, &self.model, a, x, kind, DEFAULT_BLOCK)?,
-                            FormatKind::Csr,
-                        )))
-                    }
-                }
-            }
-            TuneAction::Exploit {
-                candidate: (kind, format),
-                plan,
-                promote,
-            } => {
-                let run = match plan {
-                    Some(p) => {
-                        if promote {
-                            // A promoted winner fell out of the LRU cache:
-                            // re-install it so the warm path resumes.
-                            self.cache
-                                .insert(PlanKey { format, ..key }, Arc::clone(&p));
-                        }
-                        if format == FormatKind::Csr {
-                            spmv_with_plan(&self.spec, &self.model, a, x, &p)?
-                        } else {
-                            let (op, _) = self.prepared_operand(key.fp, a, format)?;
-                            formats::spmv_format_with_plan(&self.spec, &self.model, a, &op, x, &p)?
-                        }
-                    }
-                    None => {
-                        return Ok(Some((
-                            spmv_with_model(&self.spec, &self.model, a, x, kind, DEFAULT_BLOCK)?,
-                            FormatKind::Csr,
-                        )))
-                    }
-                };
-                Ok(Some((run, format)))
-            }
-        }
-    }
-
-    /// Prepare the plan (and, for non-CSR cells, the converted operand)
-    /// an SpMV exploration serve runs through. The CSR cell takes
-    /// [`spmv::prepare`] so schedule-only tuning stays byte-identical to
-    /// the pre-format tuner.
-    #[allow(clippy::type_complexity)]
-    fn spmv_candidate_plan(
-        &mut self,
+        k: &K,
         fp: Fingerprint,
-        a: &Csr<f32>,
-        (kind, format): Candidate,
-    ) -> simt::Result<(Arc<KernelPlan>, Option<Arc<PreparedOperand>>)> {
-        if format == FormatKind::Csr {
-            let plan = spmv::prepare(&self.spec, &self.model, a, kind, DEFAULT_BLOCK)?;
-            Ok((Arc::new(plan), None))
-        } else {
-            let (op, _) = self.prepared_operand(fp, a, format)?;
-            let plan =
-                formats::prepare_format_plan(&self.spec, &self.model, a, &op, kind, DEFAULT_BLOCK)?;
-            Ok((Arc::new(plan), Some(op)))
+        pin: Option<ScheduleKind>,
+        now: f64,
+    ) -> simt::Result<Option<Served<K::Output>>> {
+        let logical = Self::logical_key(K::KIND, fp);
+        // A promoted non-CSR winner's plan lives under its own format's
+        // cache key; with tuning off the winner is always absent, so the
+        // lookup is the logical (CSR) one.
+        let format = match pin {
+            Some(_) => FormatKind::Csr,
+            None => self.tuner.winner(&logical).map_or(FormatKind::Csr, |(_, f)| f),
+        };
+        let key = PlanKey { format, ..logical };
+        if let Some(plan) = self.cache.get_if(&key, |p| pin.is_none_or(|s| p.schedule == s)) {
+            let served = self.prepared_operand(fp, k.matrix(), format).and_then(|op| {
+                k.run_planned(self, &plan, op.as_deref())
+            });
+            return match served {
+                Ok(mut run) => {
+                    run.cache_hit = true;
+                    Ok(Some(Served { run, format, fell_back: false }))
+                }
+                Err(_) => {
+                    self.cache.remove(&key);
+                    self.fall_back(k, pin).map(Some)
+                }
+            };
         }
-    }
-
-    /// [`Self::spmv_tuned_miss`]'s SpMM counterpart (standalone path, so
-    /// tune events carry `ts_ms = 0`).
-    fn spmm_tuned_miss(
-        &mut self,
-        key: PlanKey,
-        a: &Csr<f32>,
-        b: &DenseMatrix<f32>,
-    ) -> simt::Result<Option<spmm::SpmmRun>> {
-        let formats_on = self.cfg.tune.formats;
-        let Some(action) = self.tuner.choose(key, || {
-            let mut space = loops::dispatch::candidates(KernelKind::Spmm, a);
-            if !formats_on {
-                space.retain(|&(_, f)| f == FormatKind::Csr);
-            }
-            space
-        }) else {
+        if pin.is_some() {
+            return Ok(None);
+        }
+        let Some(action) = self
+            .tuner
+            .choose(logical, || loops::dispatch::candidates(K::KIND, k.matrix()))
+        else {
             return Ok(None);
         };
         match action {
-            TuneAction::Explore((kind, format)) => {
-                let (run, plan, convert) = if format == FormatKind::Csr {
-                    let plan = Arc::new(spmm::prepare(&self.spec, &self.model, a, kind)?);
-                    let run = spmm::spmm_with_plan(&self.spec, &self.model, a, b, &plan)?;
-                    (run, plan, 0.0)
-                } else {
-                    let (op, _) = self.prepared_operand(key.fp, a, format)?;
-                    let run = formats::spmm_format(&self.spec, &self.model, a, &op, b, kind)?;
-                    // A format plan is schedule-only here (format cells
-                    // coerce to flat spans, which carry no artifacts).
-                    let plan = Arc::new(formats::prepare_format_plan(
-                        &self.spec,
-                        &self.model,
-                        a,
-                        &op,
-                        run.schedule,
-                        DEFAULT_BLOCK,
-                    )?);
-                    (run, plan, op.convert_ms())
+            TuneAction::Explore(candidate @ (kind, format)) => {
+                let prepared = self.prepared_operand(fp, k.matrix(), format).and_then(|op| {
+                    let plan = k.prepare(self, kind, op.as_deref())?;
+                    Ok((Arc::new(plan), op))
+                });
+                let Ok((plan, op)) = prepared else {
+                    return self.fall_back(k, None).map(Some);
                 };
+                let run = k.run_planned(self, &plan, op.as_deref())?;
+                // The recorded cost is the steady-state (warm) cost plus
+                // the amortized share of the one-time conversion — CSR's
+                // share is zero.
+                let convert = op.map_or(0.0, |o| o.convert_ms());
                 let cost = run.report.elapsed_ms() + convert / CONVERT_AMORTIZE_SERVES;
-                self.emit_tune(key.kernel, (kind, format), TunePhase::Explore, 0.0, cost);
-                if let Some(p) = self.tuner.record(key, (kind, format), cost, Some(plan)) {
-                    self.emit_tune(key.kernel, p.candidate, TunePhase::Promote, 0.0, p.cost_ms);
-                    self.cache
-                        .insert(PlanKey { format: p.candidate.1, ..key }, p.plan);
+                self.emit_tune(K::KIND, candidate, TunePhase::Explore, now, cost);
+                if let Some(p) = self.tuner.record(logical, candidate, cost, plan) {
+                    self.emit_tune(K::KIND, p.candidate, TunePhase::Promote, now, p.cost_ms);
+                    self.cache.insert(PlanKey { format: p.candidate.1, ..logical }, p.plan);
                 }
-                Ok(Some(run))
+                Ok(Some(Served { run, format, fell_back: false }))
             }
             TuneAction::Exploit {
-                candidate: (kind, format),
+                candidate: (_, format),
                 plan,
                 promote,
             } => {
-                let run = match plan {
-                    Some(p) => {
-                        if promote {
-                            self.cache
-                                .insert(PlanKey { format, ..key }, Arc::clone(&p));
-                        }
-                        if format == FormatKind::Csr {
-                            spmm::spmm_with_plan(&self.spec, &self.model, a, b, &p)?
-                        } else {
-                            let (op, _) = self.prepared_operand(key.fp, a, format)?;
-                            formats::spmm_format(&self.spec, &self.model, a, &op, b, p.schedule)?
-                        }
-                    }
-                    None => spmm::spmm_with_model(&self.spec, &self.model, a, b, kind)?,
-                };
-                Ok(Some(run))
+                if promote {
+                    // A promoted winner fell out of the LRU cache:
+                    // re-install it so the warm path resumes.
+                    self.cache.insert(PlanKey { format, ..logical }, Arc::clone(&plan));
+                }
+                let op = self.prepared_operand(fp, k.matrix(), format)?;
+                let run = k.run_planned(self, &plan, op.as_deref())?;
+                Ok(Some(Served { run, format, fell_back: false }))
             }
         }
+    }
+
+    /// Serve `k` cold from CSR under the pinned schedule, or the
+    /// heuristic's pick — the fallback when a plan fails.
+    fn fall_back<K: ServedKernel>(
+        &self,
+        k: &K,
+        pin: Option<ScheduleKind>,
+    ) -> simt::Result<Served<K::Output>> {
+        let kind = pin.unwrap_or_else(|| self.heuristic_kind(k.matrix()));
+        Ok(Served {
+            run: k.run_cold(self, kind)?,
+            format: FormatKind::Csr,
+            fell_back: true,
+        })
+    }
+
+    /// The static heuristic's schedule for `a`.
+    fn heuristic_kind(&self, a: &Csr<f32>) -> ScheduleKind {
+        self.heuristic.select(a.rows(), a.cols(), a.nnz())
+    }
+
+    /// A standalone planned serve: [`Self::cached_or_tuned`], with an
+    /// untuned miss prepared under the pin or the heuristic, run
+    /// through its plan, and cached. Tune events carry `ts_ms = 0`.
+    fn serve_planned<K: ServedKernel>(
+        &mut self,
+        k: &K,
+        fp: Fingerprint,
+        pin: Option<ScheduleKind>,
+    ) -> simt::Result<PlannedRun<K::Output>> {
+        if let Some(served) = self.cached_or_tuned(k, fp, pin, 0.0)? {
+            return Ok(served.run);
+        }
+        let kind = pin.unwrap_or_else(|| self.heuristic_kind(k.matrix()));
+        let plan = Arc::new(k.prepare(self, kind, None)?);
+        let run = k.run_planned(self, &plan, None)?;
+        self.cache.insert(Self::logical_key(K::KIND, fp), plan);
+        Ok(run)
     }
 
     /// Serve one standalone SpMV through the plan cache with a *pinned*
@@ -1119,10 +1266,10 @@ impl Runtime {
     /// `kind` under the `("spmv", fingerprint)` key; later calls replay
     /// it, skipping setup. A cached plan whose schedule disagrees with
     /// the pin (the same sub-matrix served through a differently-pinned
-    /// path) is re-prepared rather than silently un-pinning the caller:
-    /// sharded merges are bitwise-correct only under the schedule the
-    /// split layer chose. Warm and cold runs are bitwise identical
-    /// ([`spmv::spmv_with_plan`]'s contract).
+    /// path) counts as a miss and is re-prepared rather than silently
+    /// un-pinning the caller: sharded merges are bitwise-correct only
+    /// under the schedule the split layer chose. Warm and cold runs are
+    /// bitwise identical ([`spmv::spmv_with_plan`]'s contract).
     pub fn run_spmv_pinned(
         &mut self,
         a: &Arc<Csr<f32>>,
@@ -1130,32 +1277,7 @@ impl Runtime {
         kind: ScheduleKind,
     ) -> simt::Result<PlannedRun<Vec<f32>>> {
         let fp = self.fingerprint_of(Arc::as_ptr(a) as usize, a);
-        let key = Self::logical_key(KernelKind::Spmv, fp);
-        let cached = self.cache.get(&key).filter(|p| p.schedule == kind);
-        let (run, cache_hit) = match cached {
-            Some(p) => match spmv_with_plan(&self.spec, &self.model, a, x, &p) {
-                Ok(run) => (run, true),
-                Err(_) => {
-                    self.cache.remove(&key);
-                    (
-                        spmv_with_model(&self.spec, &self.model, a, x, kind, DEFAULT_BLOCK)?,
-                        false,
-                    )
-                }
-            },
-            None => {
-                let p = Arc::new(spmv::prepare(&self.spec, &self.model, a, kind, DEFAULT_BLOCK)?);
-                let run = spmv_with_plan(&self.spec, &self.model, a, x, &p)?;
-                self.cache.insert(key, p);
-                (run, false)
-            }
-        };
-        Ok(PlannedRun {
-            output: run.y,
-            report: run.report,
-            schedule: run.schedule,
-            cache_hit,
-        })
+        self.serve_planned(&Spmv { a, x }, fp, Some(kind))
     }
 
     /// Serve one SpMM through the plan cache. The first call for a
@@ -1172,123 +1294,19 @@ impl Runtime {
         b: &DenseMatrix<f32>,
     ) -> simt::Result<PlannedRun<DenseMatrix<f32>>> {
         let fp = self.fingerprint_of(Arc::as_ptr(a) as usize, a);
-        let logical = Self::logical_key(KernelKind::Spmm, fp);
-        // A promoted non-CSR winner lives under its own format's cache
-        // key; with tuning off the winner is always absent and the
-        // lookup is the logical (CSR) one, unchanged.
-        let winner_format = self
-            .tuner
-            .winner(&logical)
-            .map_or(FormatKind::Csr, |(_, f)| f);
-        let key = PlanKey { format: winner_format, ..logical };
-        let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
-        let (run, cache_hit) = match self.cache.get(&key) {
-            Some(plan) => {
-                let served = if winner_format == FormatKind::Csr {
-                    spmm::spmm_with_plan(&self.spec, &self.model, a, b, &plan)
-                } else {
-                    self.prepared_operand(fp, a, winner_format).and_then(|(op, _)| {
-                        formats::spmm_format(&self.spec, &self.model, a, &op, b, plan.schedule)
-                    })
-                };
-                match served {
-                    Ok(run) => (run, true),
-                    Err(_) => {
-                        self.cache.remove(&key);
-                        (spmm::spmm_with_model(&self.spec, &self.model, a, b, kind)?, false)
-                    }
-                }
-            }
-            None => match self.spmm_tuned_miss(logical, a, b)? {
-                Some(run) => (run, false),
-                None => {
-                    let plan = Arc::new(spmm::prepare(&self.spec, &self.model, a, kind)?);
-                    let run = spmm::spmm_with_plan(&self.spec, &self.model, a, b, &plan)?;
-                    self.cache.insert(key, plan);
-                    (run, false)
-                }
-            },
-        };
-        Ok(PlannedRun {
-            output: run.c,
-            report: run.report,
-            schedule: run.schedule,
-            cache_hit,
-        })
+        self.serve_planned(&Spmm { a, b }, fp, None)
     }
 
     /// Serve one BFS through the plan cache. Frontiers change every
     /// level, so there is no reusable partition artifact; what the plan
     /// pins — and the cache amortizes — is the schedule choice for the
     /// graph's adjacency matrix, plus its fingerprinting. Warm and cold
-    /// runs are bitwise identical.
+    /// runs are bitwise identical. BFS cost depends on the frontier (and
+    /// therefore on `src`), so a tuner sweep measures each candidate on
+    /// whichever source its exploration serve carries.
     pub fn run_bfs(&mut self, g: &Arc<Graph>, src: usize) -> simt::Result<PlannedRun<Vec<u32>>> {
         let fp = self.fingerprint_of(Arc::as_ptr(g) as usize, g.adjacency());
-        let key = Self::logical_key(KernelKind::Bfs, fp);
-        // `exploring` carries the candidate to measure for the tuner
-        // after the run (frontier kernels are CSR-only, so its format
-        // component is always CSR); BFS cost depends on the frontier
-        // (and therefore on `src`), so the sweep measures each candidate
-        // on whichever source its exploration serve happens to carry —
-        // acceptable for a steady-state workload that revisits sources.
-        let (plan, cache_hit, exploring) = match self.cache.get(&key) {
-            Some(plan) => (plan, true, None),
-            None => {
-                let adj = g.adjacency();
-                let tuned = self
-                    .tuner
-                    .choose(key, || loops::dispatch::candidates(KernelKind::Bfs, adj));
-                match tuned {
-                    Some(TuneAction::Explore(candidate)) => {
-                        (Self::traversal_plan(candidate.0), false, Some(candidate))
-                    }
-                    Some(TuneAction::Exploit {
-                        candidate,
-                        plan,
-                        promote,
-                    }) => {
-                        let plan = plan.unwrap_or_else(|| Self::traversal_plan(candidate.0));
-                        if promote {
-                            self.cache.insert(key, Arc::clone(&plan));
-                        }
-                        (plan, false, None)
-                    }
-                    None => {
-                        let kind = self.heuristic.select(adj.rows(), adj.cols(), adj.nnz());
-                        let plan = Self::traversal_plan(kind);
-                        self.cache.insert(key, Arc::clone(&plan));
-                        (plan, false, None)
-                    }
-                }
-            }
-        };
-        let run = bfs::bfs_with_model(&self.spec, &self.model, g, src, plan.schedule)?;
-        if let Some(candidate) = exploring {
-            let cost = run.report.elapsed_ms();
-            self.emit_tune(key.kernel, candidate, TunePhase::Explore, 0.0, cost);
-            if let Some(p) = self.tuner.record(key, candidate, cost, Some(Arc::clone(&plan))) {
-                self.emit_tune(key.kernel, p.candidate, TunePhase::Promote, 0.0, p.cost_ms);
-                self.cache.insert(key, p.plan);
-            }
-        }
-        Ok(PlannedRun {
-            output: run.depth,
-            report: run.report,
-            schedule: plan.schedule,
-            cache_hit,
-        })
-    }
-
-    /// A traversal plan is schedule-only: no partition artifacts survive
-    /// the per-level frontier churn.
-    fn traversal_plan(kind: ScheduleKind) -> Arc<KernelPlan> {
-        Arc::new(KernelPlan {
-            schedule: kind,
-            block_dim: TRAVERSAL_BLOCK,
-            merge_starts: None,
-            lrb: None,
-            setup_ms: 0.0,
-        })
+        self.serve_planned(&Bfs { g, src }, fp, None)
     }
 
     /// Serve a request stream to completion. Requests are processed in
@@ -1565,86 +1583,38 @@ impl Runtime {
     ) -> simt::Result<SubmitOutcome> {
         // Execute functionally + time solo, via the plan cache for solo
         // requests; fused batches are one-off shapes and bypass it.
-        let (run, cache_hit, format) = if members.len() == 1 {
-            let a = &members[0].0.matrix;
-            let x = &members[0].0.x;
-            let fp = self.fingerprint_of(Arc::as_ptr(a) as usize, a);
-            let logical = Self::logical_key(KernelKind::Spmv, fp);
-            // A promoted non-CSR winner's plan lives under its own
-            // format's cache key; with tuning off the winner is always
-            // absent, so the lookup — and everything downstream — is
-            // byte-identical to the pre-format runtime.
-            let winner_format = self
-                .tuner
-                .winner(&logical)
-                .map_or(FormatKind::Csr, |(_, f)| f);
-            let key = PlanKey { format: winner_format, ..logical };
-            let outcome = match self.cache.get(&key) {
-                // Graceful degradation: a cached plan whose launch fails
-                // is treated as poisoned — evict it and fall back to the
-                // heuristic path rather than failing the request.
-                Some(plan) => {
-                    let served = if winner_format == FormatKind::Csr {
-                        spmv_with_plan(&self.spec, &self.model, a, x, &plan)
+        let served = if let [(r, _)] = members {
+            let k = Spmv { a: &r.matrix, x: &r.x };
+            let fp = self.fingerprint_of(Arc::as_ptr(&r.matrix) as usize, &r.matrix);
+            let served = match self.cached_or_tuned(&k, fp, None, submit_ms)? {
+                Some(served) => served,
+                // An untuned serve miss runs cold, then prepares the plan
+                // for the next request. Plan construction can fail
+                // (chaos-injected here; in principle also a real setup
+                // failure): the request is still served by the cold run
+                // — only the cache misses out.
+                None => {
+                    let kind = self.heuristic_kind(&r.matrix);
+                    let run = k.run_cold(self, kind)?;
+                    let chaos =
+                        self.cfg.plan_fail_prob > 0.0 && self.rng.chance(self.cfg.plan_fail_prob);
+                    let prepared = if chaos {
+                        None
                     } else {
-                        self.prepared_operand(fp, a, winner_format).and_then(|(op, _)| {
-                            formats::spmv_format_with_plan(
-                                &self.spec, &self.model, a, &op, x, &plan,
-                            )
-                        })
+                        k.prepare(self, kind, None).ok()
                     };
-                    match served {
-                        Ok(run) => (run, Some(true), winner_format),
-                        Err(_) => {
-                            self.cache.remove(&key);
-                            ctrs.plan_fallbacks += 1;
-                            let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
-                            (
-                                spmv_with_model(
-                                    &self.spec,
-                                    &self.model,
-                                    a,
-                                    x,
-                                    kind,
-                                    DEFAULT_BLOCK,
-                                )?,
-                                Some(false),
-                                FormatKind::Csr,
-                            )
-                        }
+                    let fell_back = prepared.is_none();
+                    if let Some(plan) = prepared {
+                        self.cache
+                            .insert(Self::logical_key(KernelKind::Spmv, fp), Arc::new(plan));
                     }
+                    Served { run, format: FormatKind::Csr, fell_back }
                 }
-                None => match self.spmv_tuned_miss(logical, a, x, submit_ms, ctrs)? {
-                    // The autotuner wanted this miss (tuning enabled and
-                    // the key is tracked): it served the request under a
-                    // candidate or best-known (schedule × format) cell.
-                    Some((run, fmt)) => (run, Some(false), fmt),
-                    None => {
-                        let kind = self.heuristic.select(a.rows(), a.cols(), a.nnz());
-                        let run =
-                            spmv_with_model(&self.spec, &self.model, a, x, kind, DEFAULT_BLOCK)?;
-                        // Plan construction can fail (chaos-injected here;
-                        // in principle also a real setup failure): the
-                        // request is still served through the heuristic run
-                        // above — only the cache misses out.
-                        let prepared: simt::Result<KernelPlan> = if self.cfg.plan_fail_prob > 0.0
-                            && self.rng.chance(self.cfg.plan_fail_prob)
-                        {
-                            Err(simt::LaunchError::EmptyLaunch)
-                        } else {
-                            spmv::prepare(&self.spec, &self.model, a, kind, DEFAULT_BLOCK)
-                        };
-                        match prepared {
-                            Ok(plan) => self.cache.insert(key, Arc::new(plan)),
-                            Err(_) => ctrs.plan_fallbacks += 1,
-                        }
-                        (run, Some(false), FormatKind::Csr)
-                    }
-                },
             };
+            ctrs.plan_fallbacks += usize::from(served.fell_back);
             self.emit(TraceEvent::Request {
-                id: members[0].0.id,
-                phase: if outcome.1 == Some(true) {
+                id: r.id,
+                phase: if served.run.cache_hit {
                     RequestPhase::CacheHit
                 } else {
                     RequestPhase::CacheMiss
@@ -1656,21 +1626,17 @@ impl Runtime {
                 ts_ms: submit_ms,
                 value: self.cache.len() as f64,
             });
-            outcome
+            served
         } else {
             let parts: Vec<&Csr<f32>> = members.iter().map(|(r, _)| r.matrix.as_ref()).collect();
             let fused = batch::block_diag(&parts);
             let xs: Vec<&[f32]> = members.iter().map(|(r, _)| r.x.as_ref()).collect();
             let x = batch::concat_x(&xs);
-            let kind = self
-                .heuristic
-                .select(fused.rows(), fused.cols(), fused.nnz());
-            (
-                spmv_with_model(&self.spec, &self.model, &fused, &x, kind, DEFAULT_BLOCK)?,
-                None,
-                FormatKind::Csr,
-            )
+            let kind = self.heuristic_kind(&fused);
+            let run = Spmv { a: &fused, x: &x }.run_cold(self, kind)?;
+            Served { run, format: FormatKind::Csr, fell_back: false }
         };
+        let run = &served.run;
 
         // Dispatch with bounded retry + failover. The job's deadline is
         // the strictest member's (batches die whole once it passes —
@@ -1827,15 +1793,7 @@ impl Runtime {
             }
         }
 
-        Ok(SubmitOutcome::Done(self.complete(
-            members,
-            &run,
-            dev_idx,
-            cache_hit,
-            format,
-            &job,
-            attempt + 1,
-        )))
+        Ok(SubmitOutcome::Done(self.complete(members, &served, dev_idx, &job, attempt + 1)))
     }
 
     /// Earliest-available stream among devices the runtime still
@@ -1883,29 +1841,19 @@ impl Runtime {
             .min_by(|a, b| a.partial_cmp(b).expect("finite"))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn complete(
         &self,
         members: &[(&Request, f64)],
-        run: &SpmvRun,
+        served: &Served<Vec<f32>>,
         device: usize,
-        cache_hit: Option<bool>,
-        format: FormatKind,
         job: &simt::JobReport,
         attempts: u32,
     ) -> Vec<Completion> {
-        let (start_ms, end_ms) = (job.start_ms, job.end_ms);
+        let (run, start_ms, end_ms) = (&served.run, job.start_ms, job.end_ms);
         let batched = members.len() > 1;
         let ys: Vec<Option<Vec<f32>>> = if self.cfg.keep_results {
-            if batched {
-                let counts: Vec<usize> = members.iter().map(|(r, _)| r.matrix.rows()).collect();
-                batch::split_y(&run.y, &counts)
-                    .into_iter()
-                    .map(Some)
-                    .collect()
-            } else {
-                vec![Some(run.y.clone())]
-            }
+            let counts: Vec<usize> = members.iter().map(|(r, _)| r.matrix.rows()).collect();
+            batch::split_y(&run.output, &counts).into_iter().map(Some).collect()
         } else {
             members.iter().map(|_| None).collect()
         };
@@ -1919,9 +1867,9 @@ impl Runtime {
                 end_ms,
                 device,
                 batched,
-                cache_hit,
+                cache_hit: (!batched).then_some(run.cache_hit),
                 schedule: run.schedule,
-                format,
+                format: served.format,
                 attempts,
                 y,
             })
@@ -1945,6 +1893,17 @@ mod tests {
                 ))
             })
             .collect()
+    }
+
+    /// One request on `a` at t = 0.
+    fn solo(a: &Arc<Csr<f32>>) -> Vec<Request> {
+        vec![Request {
+            id: 0,
+            tenant: 0,
+            matrix: Arc::clone(a),
+            x: Arc::from(sparse::dense::test_vector(a.cols()).into_boxed_slice()),
+            arrival_ms: 0.0,
+        }]
     }
 
     fn stream(matrices: &[Arc<Csr<f32>>], n: usize) -> Vec<Request> {
@@ -1981,14 +1940,12 @@ mod tests {
         let a = Arc::new(sparse::gen::powerlaw(2_000, 2_000, 40_000, 1.8, 500));
         let b1 = DenseMatrix::from_fn(2_000, 4, |r, c| ((r + 3 * c) as f32).sin());
         let b2 = DenseMatrix::from_fn(2_000, 4, |r, c| ((2 * r + c) as f32).cos());
-        let bits =
-            |m: &DenseMatrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
         let first = rt.run_spmm(&a, &b1).unwrap();
         assert!(!first.cache_hit);
         let warm = rt.run_spmm(&a, &b1).unwrap();
         assert!(warm.cache_hit);
-        assert_eq!(bits(&first.output), bits(&warm.output));
+        assert_eq!(bits(first.output.as_slice()), bits(warm.output.as_slice()));
         assert_eq!(first.schedule, warm.schedule);
 
         // The cached plan serves a *different* B bitwise-identically to
@@ -1998,7 +1955,7 @@ mod tests {
         let cold =
             spmm::spmm_with_model(rt.spec(), &CostModel::standard(), &a, &b2, other.schedule)
                 .unwrap();
-        assert_eq!(bits(&other.output), bits(&cold.c));
+        assert_eq!(bits(other.output.as_slice()), bits(cold.c.as_slice()));
         assert!(other.report.timing.total_units < cold.report.timing.total_units);
         assert_eq!(rt.cache_stats().misses, 1);
         assert_eq!(rt.cache_stats().hits, 2);
@@ -2233,13 +2190,7 @@ mod tests {
     #[test]
     fn single_request_percentiles_collapse() {
         let m = corpus(1, 900);
-        let reqs = vec![Request {
-            id: 0,
-            tenant: 0,
-            matrix: Arc::clone(&m[0]),
-            x: Arc::from(sparse::dense::test_vector(m[0].cols()).into_boxed_slice()),
-            arrival_ms: 0.0,
-        }];
+        let reqs = solo(&m[0]);
         let mut rt = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
         let out = rt.serve(&reqs).unwrap();
         let rep = &out.report;
@@ -2775,72 +2726,143 @@ mod tests {
     }
 
     #[test]
-    fn tuned_spmm_promotes_and_warm_output_is_stable() {
-        let mut rt = Runtime::new(
-            GpuSpec::v100(),
-            RuntimeConfig {
-                tune: TuneConfig {
-                    enabled: true,
-                    epsilon: 1.0, // always finish the sweep first
-                    ..TuneConfig::default()
-                },
-                ..RuntimeConfig::default()
+    fn pinned_schedule_mismatch_counts_as_a_miss() {
+        // A cached plan under another schedule cannot serve the pin, so
+        // the lookup counts a miss, not a hit.
+        let mut rt = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
+        let a = Arc::clone(&corpus(1, 1_100)[0]);
+        let x = sparse::dense::test_vector(a.cols());
+        let first = rt.run_spmv_pinned(&a, &x, ScheduleKind::ThreadMapped).unwrap();
+        let second = rt.run_spmv_pinned(&a, &x, ScheduleKind::WorkQueue(8)).unwrap();
+        assert!(!first.cache_hit && !second.cache_hit);
+        let stats = rt.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 2));
+        // The re-prepared plan replaced the old one and serves warm.
+        let warm = rt.run_spmv_pinned(&a, &x, ScheduleKind::WorkQueue(8)).unwrap();
+        assert!(warm.cache_hit);
+        assert_eq!(warm.output, second.output);
+    }
+
+    /// ε = 1 finishes every sweep first; one tuned key and a one-plan
+    /// cache let a second, untuned matrix evict the first's winner.
+    fn reinstall_cfg() -> RuntimeConfig {
+        RuntimeConfig {
+            plan_cache_capacity: 1,
+            keep_results: true,
+            tune: TuneConfig {
+                enabled: true,
+                epsilon: 1.0,
+                max_keys: 1,
+                ..TuneConfig::default()
             },
-        );
-        let a = Arc::new(sparse::gen::powerlaw(1_500, 1_500, 20_000, 1.8, 5));
-        let b = DenseMatrix::from_fn(1_500, 4, |r, c| ((r + 2 * c) as f32).sin());
-        // With ε = 1 every run before promotion is a sweep miss; the
-        // candidate space size depends on which format cells the matrix
-        // qualifies for, so drive until the promotion lands.
-        for _ in 0..16 {
-            rt.run_spmm(&a, &b).unwrap();
+            ..RuntimeConfig::default()
+        }
+    }
+
+    /// Drive `first`'s sweep to promotion and check the next call hits,
+    /// evict the winner by serving `other`, and return the call that
+    /// re-installs it (a miss) and the warm hit after it.
+    fn reinstall_after_eviction<T, U>(
+        rt: &mut Runtime,
+        mut first: impl FnMut(&mut Runtime) -> T,
+        other: impl FnOnce(&mut Runtime) -> U,
+    ) -> (T, T) {
+        for _ in 0..32 {
             if rt.tune_stats().promotes == 1 {
                 break;
             }
+            first(rt);
         }
-        assert_eq!(rt.tune_stats().promotes, 1, "SpMM sweep should finish");
-        let winner = rt
-            .tuned_candidate(KernelKind::Spmm, &a)
-            .expect("sweep completed");
-        let bits = |m: &DenseMatrix<f32>| {
-            m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        };
-        let w1 = rt.run_spmm(&a, &b).unwrap();
-        assert!(w1.cache_hit);
-        assert_eq!(w1.schedule, winner.0);
-        let w2 = rt.run_spmm(&a, &b).unwrap();
-        assert_eq!(bits(&w1.output), bits(&w2.output));
+        assert_eq!(rt.tune_stats().promotes, 1, "sweep should finish");
+        let explores = rt.tune_stats().explores;
+        let hits = rt.cache_stats().hits;
+        first(rt);
+        assert_eq!(rt.cache_stats().hits, hits + 1, "promotion installs the winner");
+        other(rt);
+        assert_eq!(rt.cache_stats().evictions, 1, "the untuned plan evicts the winner");
+        let before = rt.cache_stats();
+        let reinstalled = first(rt);
+        let mid = rt.cache_stats();
+        assert_eq!((mid.hits, mid.misses), (before.hits, before.misses + 1));
+        let warm = first(rt);
+        let after = rt.cache_stats();
+        assert_eq!((after.hits, after.misses), (mid.hits + 1, mid.misses));
+        assert_eq!(rt.tune_stats().explores, explores, "re-installing explores nothing");
+        (reinstalled, warm)
     }
 
     #[test]
-    fn tuned_bfs_promotes_and_matches_untuned_depths() {
-        let gen = || sparse::gen::powerlaw(3_000, 3_000, 50_000, 1.8, 501);
-        let g = Arc::new(Graph::from_generator(gen()));
-        let mut tuned = Runtime::new(
-            GpuSpec::v100(),
-            RuntimeConfig {
-                tune: TuneConfig {
-                    enabled: true,
-                    epsilon: 1.0,
-                    ..TuneConfig::default()
-                },
-                ..RuntimeConfig::default()
-            },
+    fn serve_reinstalls_an_evicted_spmv_winner() {
+        let m = corpus(2, 1_200);
+        let mut rt = Runtime::new(GpuSpec::v100(), reinstall_cfg());
+        let (reinstalled, warm) = reinstall_after_eviction(
+            &mut rt,
+            |rt| rt.serve(&solo(&m[0])).unwrap().completions.remove(0),
+            |rt| rt.serve(&solo(&m[1])).unwrap(),
         );
-        let mut fixed = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
-        let want = fixed.run_bfs(&g, 0).unwrap().output;
-        let mut last = None;
-        for _ in 0..32 {
-            last = Some(tuned.run_bfs(&g, 0).unwrap());
-            if tuned.tune_stats().promotes == 1 {
-                break;
-            }
+        let (kind, format) = rt.tuned_candidate(KernelKind::Spmv, &m[0]).unwrap();
+        let op = PreparedOperand::prepare(&m[0], format).unwrap();
+        let x = sparse::dense::test_vector(m[0].cols());
+        let model = CostModel::standard();
+        let plain =
+            formats::spmv_format(rt.spec(), &model, &m[0], &op, &x, kind, DEFAULT_BLOCK).unwrap();
+        assert_eq!(reinstalled.cache_hit, Some(false));
+        assert_eq!(warm.cache_hit, Some(true));
+        for c in [&reinstalled, &warm] {
+            assert_eq!((c.schedule, c.format), (plain.schedule, format));
+            let y = c.y.as_ref().unwrap();
+            assert_eq!(bits(y), bits(&plain.y));
         }
-        assert_eq!(tuned.tune_stats().promotes, 1, "BFS sweep should finish");
-        // Every candidate schedule computes the same depths, tuned or not.
-        assert_eq!(last.unwrap().output, want);
-        let warm = tuned.run_bfs(&g, 0).unwrap();
-        assert!(warm.cache_hit);
-        assert_eq!(warm.output, want);
+    }
+
+    #[test]
+    fn tuned_spmm_promotes_and_reinstalls_an_evicted_winner() {
+        let a = Arc::new(sparse::gen::powerlaw(1_500, 1_500, 20_000, 1.8, 5));
+        let other = Arc::new(sparse::gen::powerlaw(1_200, 1_500, 15_000, 1.8, 6));
+        let b = DenseMatrix::from_fn(1_500, 4, |r, c| ((r + 2 * c) as f32).sin());
+        let mut rt = Runtime::new(GpuSpec::v100(), reinstall_cfg());
+        let (reinstalled, warm) = reinstall_after_eviction(
+            &mut rt,
+            |rt| rt.run_spmm(&a, &b).unwrap(),
+            |rt| rt.run_spmm(&other, &b).unwrap(),
+        );
+        let (kind, format) = rt.tuned_candidate(KernelKind::Spmm, &a).unwrap();
+        let op = PreparedOperand::prepare(&a, format).unwrap();
+        let plain =
+            formats::spmm_format(rt.spec(), &CostModel::standard(), &a, &op, &b, kind).unwrap();
+        assert!(!reinstalled.cache_hit && warm.cache_hit);
+        for run in [&reinstalled, &warm] {
+            assert_eq!(run.schedule, plain.schedule);
+            assert_eq!(bits(run.output.as_slice()), bits(plain.c.as_slice()));
+        }
+    }
+
+    #[test]
+    fn tuned_bfs_promotes_and_reinstalls_an_evicted_winner() {
+        let g = Arc::new(Graph::from_generator(sparse::gen::powerlaw(
+            3_000, 3_000, 50_000, 1.8, 501,
+        )));
+        let other = Arc::new(Graph::from_generator(sparse::gen::powerlaw(
+            2_000, 2_000, 30_000, 1.8, 502,
+        )));
+        let mut rt = Runtime::new(GpuSpec::v100(), reinstall_cfg());
+        let (reinstalled, warm) = reinstall_after_eviction(
+            &mut rt,
+            |rt| rt.run_bfs(&g, 0).unwrap(),
+            |rt| rt.run_bfs(&other, 0).unwrap(),
+        );
+        let (kind, format) = rt.tuned_candidate(KernelKind::Bfs, g.adjacency()).unwrap();
+        assert_eq!(format, FormatKind::Csr, "frontier kernels are CSR-only");
+        let plain = bfs::bfs_with_model(rt.spec(), &CostModel::standard(), &g, 0, kind).unwrap();
+        assert!(!reinstalled.cache_hit && warm.cache_hit);
+        for run in [&reinstalled, &warm] {
+            assert_eq!(run.schedule, kind);
+            assert_eq!(run.output, plain.depth);
+            assert_eq!(run.report.elapsed_ms().to_bits(), plain.report.elapsed_ms().to_bits());
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
     }
 }
