@@ -6,15 +6,16 @@
 //! provided tiles/atoms — so switching schedules never touches the math:
 //!
 //! * [`mod@spmv`] — sparse matrix × dense vector under *every* schedule
-//!   (Listing 3), the paper's benchmark application; [`spmv::spmv_rows`]
-//!   runs one contiguous row span, the per-device unit of multi-GPU
-//!   SpMV;
-//! * [`spmm`] — sparse matrix × dense matrix: Listing 4's "one extra loop"
-//!   around the same SpMV body;
-//! * [`formats`] — the same kernels written once against
-//!   [`loops::view::MatrixView`] and served from CSR/COO/ELL/hybrid, with
-//!   the conversion wrapper the runtime caches (§5.2.1's format
-//!   polymorphism);
+//!   (Listing 3), the paper's benchmark application, from CSR;
+//!   [`spmv::spmv_rows`] runs one contiguous row span, the per-device
+//!   unit of multi-GPU SpMV;
+//! * [`spmm`] — sparse matrix × dense matrix from CSR: Listing 4's "one
+//!   extra loop" around the SpMV fold;
+//! * [`formats`] — the one SpMV and one SpMM body, written against
+//!   [`loops::view::MatrixView`], behind every entry point above: served
+//!   from CSR/COO/ELL/hybrid [`PreparedOperand`]s (CSR is one more
+//!   operand), cold or under a cached plan, with the conversion wrapper
+//!   the runtime caches (§5.2.1's format polymorphism);
 //! * [`spgemm`] — Gustavson sparse × sparse with the two-kernel
 //!   count-then-fill structure §5.3 sketches;
 //! * [`graph`], [`traversal`], [`bfs`], [`sssp`], [`pagerank`] —

@@ -10,10 +10,12 @@
 //! whose rows are *in*-edges with values `1/outdeg(source)`), then
 //! iterate simulated SpMVs until the L1 delta crosses the tolerance.
 
+use crate::formats::{spmv_format, PreparedOperand};
 use crate::graph::Graph;
+use crate::spmv::DEFAULT_BLOCK;
 use loops::schedule::ScheduleKind;
 use simt::{CostModel, GpuSpec, LaunchReport};
-use sparse::{convert, Csr};
+use sparse::{convert, Csr, FormatKind};
 
 /// Result of a simulated PageRank run.
 #[derive(Debug, Clone)]
@@ -77,10 +79,27 @@ pub fn pagerank_warm(
     max_iters: usize,
     init: &[f32],
 ) -> simt::Result<PageRankRun> {
+    power_iteration(spec, g, kind, FormatKind::Csr, tol, max_iters, init)
+}
+
+/// The power iteration every PageRank entry point runs: `Mᵀ` prepared
+/// in `format`, iterated from `init` (L1-normalized first, see
+/// [`pagerank_warm`]) until the L1 delta falls below `tol` or
+/// `max_iters` is reached.
+pub(crate) fn power_iteration(
+    spec: &GpuSpec,
+    g: &Graph,
+    kind: ScheduleKind,
+    format: FormatKind,
+    tol: f32,
+    max_iters: usize,
+    init: &[f32],
+) -> simt::Result<PageRankRun> {
     let n = g.num_vertices();
     assert!(n > 0, "graph must have vertices");
     assert_eq!(init.len(), n, "init must have one rank per vertex");
     let mt = normalized_transpose(g);
+    let op = PreparedOperand::prepare(&mt, format)?;
     let dangling: Vec<usize> = (0..n).filter(|&u| g.degree(u) == 0).collect();
     let model = CostModel::standard();
 
@@ -96,14 +115,7 @@ pub fn pagerank_warm(
     let mut iterations = 0usize;
     let mut total: Option<LaunchReport> = None;
     while iterations < max_iters {
-        let run = crate::spmv::spmv_with_model(
-            spec,
-            &model,
-            &mt,
-            &rank,
-            kind,
-            crate::spmv::DEFAULT_BLOCK,
-        )?;
+        let run = spmv_format(spec, &model, &mt, &op, &rank, kind, DEFAULT_BLOCK)?;
         let dangling_mass: f32 = dangling.iter().map(|&u| rank[u]).sum();
         let teleport = (1.0 - DAMPING) / n as f32 + DAMPING * dangling_mass / n as f32;
         let next: Vec<f32> = run.y.iter().map(|&s| teleport + DAMPING * s).collect();

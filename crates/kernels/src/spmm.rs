@@ -3,15 +3,15 @@
 //! "A simple loop wrapped around SpMV": the kernel body is Listing 3 plus
 //! one loop over the columns of `B` — and because the schedule is
 //! decoupled, the *same* merge-path/thread-mapped machinery balances it
-//! (the rewrite Yang et al. had to do by hand, for free). The body is a
-//! flat-span [`TileExec`] dispatched through the engine, so SpMM also
-//! inherits plan-cached warm launches ([`spmm_with_plan`]).
+//! (the rewrite Yang et al. had to do by hand, for free). The body is the
+//! flat-span, format-generic [`TileExec`](loops::dispatch::TileExec) in
+//! [`crate::formats`], dispatched through the engine, so SpMM also
+//! inherits every serving format and plan-cached warm launches
+//! ([`crate::formats::spmm_format_with_plan`]).
 
-use loops::adapters::CsrTiles;
-use loops::dispatch::{span_atoms, BalancedLaunch, KernelPlan, TileExec};
-use loops::ranges::step_range;
-use loops::schedule::{ScheduleKind, TileSpan};
-use simt::{CostModel, GlobalMem, GpuSpec, LaneCtx, LaunchReport};
+use crate::formats::{self, PreparedOperand};
+use loops::schedule::ScheduleKind;
+use simt::{CostModel, GpuSpec, LaunchReport};
 use sparse::{Csr, DenseMatrix};
 
 /// Result of one simulated SpMM.
@@ -26,43 +26,10 @@ pub struct SpmmRun {
     pub schedule: ScheduleKind,
 }
 
-/// Listing 4's body: per span, loop over `B`'s columns; per column,
-/// accumulate the span's products. Complete tiles store directly;
-/// partial merge-path tiles combine through `atomicAdd`.
-struct SpmmExec<'a> {
-    values: &'a [f32],
-    col_indices: &'a [u32],
-    b: &'a DenseMatrix<f32>,
-    c: GlobalMem<'a, f32>,
-    n_cols: usize,
-}
-
-impl TileExec for SpmmExec<'_> {
-    const COOPERATIVE_REDUCE: bool = false;
-
-    fn span(&self, lane: &LaneCtx<'_>, span: &TileSpan) {
-        // Listing 4: the new loop over B's columns.
-        for col in step_range(0, self.n_cols, 1) {
-            let mut sum = 0.0f32;
-            for nz in span_atoms(span, lane) {
-                sum += self.values[nz] * self.b.get(self.col_indices[nz] as usize, col);
-            }
-            let out = span.tile * self.n_cols + col;
-            if span.complete {
-                self.c.store(out, sum);
-                lane.write_bytes(4);
-            } else if !span.atoms.is_empty() {
-                self.c.fetch_add(out, sum);
-                lane.charge_atomic();
-            }
-        }
-    }
-}
-
 /// SpMM supports the flat-span schedules; the cooperative schedules
 /// reduce a single scalar per tile and are exposed through SpMV, so
 /// anything else falls back to thread-mapped (Listing 4's default).
-fn coerce(kind: ScheduleKind) -> ScheduleKind {
+pub(crate) fn coerce(kind: ScheduleKind) -> ScheduleKind {
     if kind == ScheduleKind::MergePath {
         kind
     } else {
@@ -89,70 +56,7 @@ pub fn spmm_with_model(
     b: &DenseMatrix<f32>,
     kind: ScheduleKind,
 ) -> simt::Result<SpmmRun> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let work = CsrTiles::new(a);
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    let d = {
-        let exec = SpmmExec {
-            values: a.values(),
-            col_indices: a.col_indices(),
-            b,
-            c: GlobalMem::new(c.as_mut_slice()),
-            n_cols: b.cols(),
-        };
-        BalancedLaunch::new(spec, model, &work).run(coerce(kind), &exec)?
-    };
-    Ok(SpmmRun {
-        c,
-        report: d.report,
-        schedule: d.schedule,
-    })
-}
-
-/// Prepare a reusable SpMM plan for `a` (schedule choice + merge-path
-/// partition table). The artifacts depend only on `a`'s sparsity
-/// pattern, so one plan serves *any* dense `B` — the warm path a serving
-/// runtime caches per matrix.
-pub fn prepare(
-    spec: &GpuSpec,
-    model: &CostModel,
-    a: &Csr<f32>,
-    kind: ScheduleKind,
-) -> simt::Result<KernelPlan> {
-    let work = CsrTiles::new(a);
-    BalancedLaunch::new(spec, model, &work).prepare(coerce(kind))
-}
-
-/// Run SpMM under a prepared plan. Bitwise identical to [`spmm`] with
-/// the plan's schedule; a cached merge-path plan skips the in-kernel
-/// diagonal searches.
-pub fn spmm_with_plan(
-    spec: &GpuSpec,
-    model: &CostModel,
-    a: &Csr<f32>,
-    b: &DenseMatrix<f32>,
-    plan: &KernelPlan,
-) -> simt::Result<SpmmRun> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let work = CsrTiles::new(a);
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    let d = {
-        let exec = SpmmExec {
-            values: a.values(),
-            col_indices: a.col_indices(),
-            b,
-            c: GlobalMem::new(c.as_mut_slice()),
-            n_cols: b.cols(),
-        };
-        BalancedLaunch::new(spec, model, &work)
-            .block_dim(plan.block_dim)
-            .run_planned(plan, &exec)?
-    };
-    Ok(SpmmRun {
-        c,
-        report: d.report,
-        schedule: d.schedule,
-    })
+    formats::spmm_format(spec, model, a, &PreparedOperand::CSR, b, kind)
 }
 
 #[cfg(test)]
@@ -216,13 +120,15 @@ mod tests {
         let spec = GpuSpec::v100();
         let model = CostModel::standard();
         let a = sparse::gen::powerlaw(400, 400, 8_000, 1.8, 45);
-        let plan = prepare(&spec, &model, &a, ScheduleKind::MergePath).unwrap();
+        let op = PreparedOperand::CSR;
+        let plan =
+            formats::prepare_spmm_plan(&spec, &model, &a, &op, ScheduleKind::MergePath).unwrap();
         assert!(plan.merge_starts.is_some());
         // One plan, two different Bs.
         for seed in [0u32, 1] {
             let b = DenseMatrix::from_fn(400, 4, |r, c| ((r * 31 + c * 7 + seed as usize) as f32).cos());
             let cold = spmm_with_model(&spec, &model, &a, &b, ScheduleKind::MergePath).unwrap();
-            let warm = spmm_with_plan(&spec, &model, &a, &b, &plan).unwrap();
+            let warm = formats::spmm_format_with_plan(&spec, &model, &a, &op, &b, &plan).unwrap();
             let bits = |m: &DenseMatrix<f32>| {
                 m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use kernels::formats::{self, PreparedOperand};
 use kernels::graph::Graph;
 use kernels::spmm;
-use kernels::spmv::{self, spmv_with_model, spmv_with_plan, DEFAULT_BLOCK};
+use kernels::spmv::{spmv_with_model, DEFAULT_BLOCK};
 use kernels::traversal::TRAVERSAL_BLOCK;
 use kernels::bfs;
 use loops::dispatch::{trace_label, Candidate, KernelKind, KernelPlan};
@@ -678,20 +678,21 @@ trait ServedKernel {
     const KIND: KernelKind;
     /// The sparse operand plans are prepared over.
     fn matrix(&self) -> &Csr<f32>;
-    /// Prepare a plan for schedule `kind`, over `op` for a non-CSR cell.
+    /// Prepare a plan for schedule `kind` over `op`, the matrix in the
+    /// cell's storage format.
     fn prepare(
         &self,
         rt: &Runtime,
         kind: ScheduleKind,
-        op: Option<&PreparedOperand>,
+        op: &PreparedOperand,
     ) -> simt::Result<KernelPlan>;
-    /// Run under a prepared plan, from `op` for a non-CSR cell —
-    /// bitwise identical to the cold run of the plan's schedule.
+    /// Run under a prepared plan from `op` — bitwise identical to the
+    /// cold run of the plan's schedule.
     fn run_planned(
         &self,
         rt: &Runtime,
         plan: &KernelPlan,
-        op: Option<&PreparedOperand>,
+        op: &PreparedOperand,
     ) -> simt::Result<PlannedRun<Self::Output>>;
     /// Run from CSR without a plan.
     fn run_cold(&self, rt: &Runtime, kind: ScheduleKind) -> simt::Result<PlannedRun<Self::Output>>;
@@ -715,26 +716,18 @@ impl ServedKernel for Spmv<'_> {
         &self,
         rt: &Runtime,
         kind: ScheduleKind,
-        op: Option<&PreparedOperand>,
+        op: &PreparedOperand,
     ) -> simt::Result<KernelPlan> {
-        let (spec, model) = (&rt.spec, &rt.model);
-        match op {
-            None => spmv::prepare(spec, model, self.a, kind, DEFAULT_BLOCK),
-            Some(op) => formats::prepare_format_plan(spec, model, self.a, op, kind, DEFAULT_BLOCK),
-        }
+        formats::prepare_format_plan(&rt.spec, &rt.model, self.a, op, kind, DEFAULT_BLOCK)
     }
 
     fn run_planned(
         &self,
         rt: &Runtime,
         plan: &KernelPlan,
-        op: Option<&PreparedOperand>,
+        op: &PreparedOperand,
     ) -> simt::Result<PlannedRun<Vec<f32>>> {
-        let (spec, model) = (&rt.spec, &rt.model);
-        let run = match op {
-            None => spmv_with_plan(spec, model, self.a, self.x, plan)?,
-            Some(op) => formats::spmv_format_with_plan(spec, model, self.a, op, self.x, plan)?,
-        };
+        let run = formats::spmv_format_with_plan(&rt.spec, &rt.model, self.a, op, self.x, plan)?;
         Ok(PlannedRun::new(run.y, run.report, run.schedule))
     }
 
@@ -762,28 +755,18 @@ impl ServedKernel for Spmm<'_> {
         &self,
         rt: &Runtime,
         kind: ScheduleKind,
-        op: Option<&PreparedOperand>,
+        op: &PreparedOperand,
     ) -> simt::Result<KernelPlan> {
-        let (spec, model) = (&rt.spec, &rt.model);
-        match op {
-            None => spmm::prepare(spec, model, self.a, kind),
-            // Schedule-only: format cells run flat spans, which carry no
-            // artifacts.
-            Some(op) => formats::prepare_format_plan(spec, model, self.a, op, kind, DEFAULT_BLOCK),
-        }
+        formats::prepare_spmm_plan(&rt.spec, &rt.model, self.a, op, kind)
     }
 
     fn run_planned(
         &self,
         rt: &Runtime,
         plan: &KernelPlan,
-        op: Option<&PreparedOperand>,
+        op: &PreparedOperand,
     ) -> simt::Result<PlannedRun<DenseMatrix<f32>>> {
-        let (spec, model) = (&rt.spec, &rt.model);
-        let run = match op {
-            None => spmm::spmm_with_plan(spec, model, self.a, self.b, plan)?,
-            Some(op) => formats::spmm_format(spec, model, self.a, op, self.b, plan.schedule)?,
-        };
+        let run = formats::spmm_format_with_plan(&rt.spec, &rt.model, self.a, op, self.b, plan)?;
         Ok(PlannedRun::new(run.c, run.report, run.schedule))
     }
 
@@ -814,7 +797,7 @@ impl ServedKernel for Bfs<'_> {
         &self,
         _: &Runtime,
         kind: ScheduleKind,
-        _: Option<&PreparedOperand>,
+        _: &PreparedOperand,
     ) -> simt::Result<KernelPlan> {
         Ok(KernelPlan {
             schedule: kind,
@@ -829,7 +812,7 @@ impl ServedKernel for Bfs<'_> {
         &self,
         rt: &Runtime,
         plan: &KernelPlan,
-        _: Option<&PreparedOperand>,
+        _: &PreparedOperand,
     ) -> simt::Result<PlannedRun<Vec<u32>>> {
         self.run_cold(rt, plan.schedule)
     }
@@ -1063,7 +1046,8 @@ impl Runtime {
     }
 
     /// Fetch (or deterministically convert and memoize) `a` prepared in
-    /// `format`; the CSR cell serves from `a` itself (`None`).
+    /// `format`. The CSR operand converts nothing, so it is built fresh
+    /// and never takes an operand-cache slot.
     ///
     /// Fingerprints are deliberately pattern-only
     /// (`value_changes_keep_fingerprint`), but a converted operand
@@ -1080,13 +1064,13 @@ impl Runtime {
         fp: Fingerprint,
         a: &Csr<f32>,
         format: FormatKind,
-    ) -> simt::Result<Option<Arc<PreparedOperand>>> {
+    ) -> simt::Result<Arc<PreparedOperand>> {
         if format == FormatKind::Csr {
-            return Ok(None);
+            return Ok(Arc::new(PreparedOperand::prepare(a, format)?));
         }
         if let Some(entry) = self.operands.get(&(fp, format)) {
             if entry.epoch == a.value_epoch() {
-                return Ok(Some(Arc::clone(&entry.op)));
+                return Ok(Arc::clone(&entry.op));
             }
         }
         let op = Arc::new(PreparedOperand::prepare(a, format)?);
@@ -1100,7 +1084,7 @@ impl Runtime {
                 op: Arc::clone(&op),
             },
         );
-        Ok(Some(op))
+        Ok(op)
     }
 
     fn emit_tune(
@@ -1159,9 +1143,9 @@ impl Runtime {
         };
         let key = PlanKey { format, ..logical };
         if let Some(plan) = self.cache.get_if(&key, |p| pin.is_none_or(|s| p.schedule == s)) {
-            let served = self.prepared_operand(fp, k.matrix(), format).and_then(|op| {
-                k.run_planned(self, &plan, op.as_deref())
-            });
+            let served = self
+                .prepared_operand(fp, k.matrix(), format)
+                .and_then(|op| k.run_planned(self, &plan, &op));
             return match served {
                 Ok(mut run) => {
                     run.cache_hit = true;
@@ -1185,18 +1169,17 @@ impl Runtime {
         match action {
             TuneAction::Explore(candidate @ (kind, format)) => {
                 let prepared = self.prepared_operand(fp, k.matrix(), format).and_then(|op| {
-                    let plan = k.prepare(self, kind, op.as_deref())?;
+                    let plan = k.prepare(self, kind, &op)?;
                     Ok((Arc::new(plan), op))
                 });
                 let Ok((plan, op)) = prepared else {
                     return self.fall_back(k, None).map(Some);
                 };
-                let run = k.run_planned(self, &plan, op.as_deref())?;
+                let run = k.run_planned(self, &plan, &op)?;
                 // The recorded cost is the steady-state (warm) cost plus
                 // the amortized share of the one-time conversion — CSR's
                 // share is zero.
-                let convert = op.map_or(0.0, |o| o.convert_ms());
-                let cost = run.report.elapsed_ms() + convert / CONVERT_AMORTIZE_SERVES;
+                let cost = run.report.elapsed_ms() + op.convert_ms() / CONVERT_AMORTIZE_SERVES;
                 self.emit_tune(K::KIND, candidate, TunePhase::Explore, now, cost);
                 if let Some(p) = self.tuner.record(logical, candidate, cost, plan) {
                     self.emit_tune(K::KIND, p.candidate, TunePhase::Promote, now, p.cost_ms);
@@ -1215,7 +1198,7 @@ impl Runtime {
                     self.cache.insert(PlanKey { format, ..logical }, Arc::clone(&plan));
                 }
                 let op = self.prepared_operand(fp, k.matrix(), format)?;
-                let run = k.run_planned(self, &plan, op.as_deref())?;
+                let run = k.run_planned(self, &plan, &op)?;
                 Ok(Some(Served { run, format, fell_back: false }))
             }
         }
@@ -1254,8 +1237,9 @@ impl Runtime {
             return Ok(served.run);
         }
         let kind = pin.unwrap_or_else(|| self.heuristic_kind(k.matrix()));
-        let plan = Arc::new(k.prepare(self, kind, None)?);
-        let run = k.run_planned(self, &plan, None)?;
+        let op = self.prepared_operand(fp, k.matrix(), FormatKind::Csr)?;
+        let plan = Arc::new(k.prepare(self, kind, &op)?);
+        let run = k.run_planned(self, &plan, &op)?;
         self.cache.insert(Self::logical_key(K::KIND, fp), plan);
         Ok(run)
     }
@@ -1269,7 +1253,7 @@ impl Runtime {
     /// path) counts as a miss and is re-prepared rather than silently
     /// un-pinning the caller: sharded merges are bitwise-correct only
     /// under the schedule the split layer chose. Warm and cold runs are
-    /// bitwise identical ([`spmv::spmv_with_plan`]'s contract).
+    /// bitwise identical ([`formats::spmv_format_with_plan`]'s contract).
     pub fn run_spmv_pinned(
         &mut self,
         a: &Arc<Csr<f32>>,
@@ -1601,7 +1585,9 @@ impl Runtime {
                     let prepared = if chaos {
                         None
                     } else {
-                        k.prepare(self, kind, None).ok()
+                        self.prepared_operand(fp, &r.matrix, FormatKind::Csr)
+                            .and_then(|op| k.prepare(self, kind, &op))
+                            .ok()
                     };
                     let fell_back = prepared.is_none();
                     if let Some(plan) = prepared {

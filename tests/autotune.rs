@@ -122,33 +122,18 @@ fn tuner_converges_past_the_heuristic_on_a_banded_corpus() {
     // non-CSR winner the tuner additionally charged amortized
     // conversion, so its warm cost is below by an even wider margin.)
     let x = sparse::dense::test_vector(a.cols());
-    let warm_csr = |kind| {
-        let plan = kernels::spmv::prepare(&spec, &model, &a, kind, DEFAULT_BLOCK).unwrap();
-        kernels::spmv::spmv_with_plan(&spec, &model, &a, &x, &plan)
-            .unwrap()
-            .report
-            .elapsed_ms()
-    };
-    let winner_cost = if winner_format == sparse::FormatKind::Csr {
-        warm_csr(winner_kind)
-    } else {
-        let op = kernels::PreparedOperand::prepare(&a, winner_format).unwrap();
-        let plan = kernels::formats::prepare_format_plan(
-            &spec,
-            &model,
-            &a,
-            &op,
-            winner_kind,
-            DEFAULT_BLOCK,
-        )
-        .unwrap();
+    let warm = |kind, format| {
+        let op = kernels::PreparedOperand::prepare(&a, format).unwrap();
+        let plan =
+            kernels::formats::prepare_format_plan(&spec, &model, &a, &op, kind, DEFAULT_BLOCK)
+                .unwrap();
         kernels::formats::spmv_format_with_plan(&spec, &model, &a, &op, &x, &plan)
             .unwrap()
             .report
             .elapsed_ms()
     };
     assert!(
-        winner_cost < warm_csr(heuristic_kind),
+        warm(winner_kind, winner_format) < warm(heuristic_kind, sparse::FormatKind::Csr),
         "{winner_kind}@{winner_format} should be cheaper than {heuristic_kind}"
     );
 }

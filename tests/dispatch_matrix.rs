@@ -6,7 +6,9 @@
 //!   implementation (the seed's exact accumulation orders), including
 //!   the full [`simt::LaunchReport`];
 //! * **SpMM** against per-column SpMV under the same schedule — Listing
-//!   4's "a loop wrapped around SpMV" claim, checked to the last bit;
+//!   4's "a loop wrapped around SpMV" claim, checked to the last bit —
+//!   and, launch reports included, against a pinned digest over every
+//!   serving format, cold and planned;
 //! * **sharded SpMV** — [`kernels::spmv::spmv_rows`] over every
 //!   [`sparse::ShardPlan`] shard — against the legacy path applied per
 //!   row block;
@@ -492,8 +494,9 @@ mod legacy {
     }
 }
 
-/// The serving formats (CSC stays analysis-only — [`spmv_format`]
-/// refuses it, checked at the end of the format-axis test).
+/// The serving formats (CSC stays analysis-only —
+/// `PreparedOperand::prepare` refuses it, checked at the end of the
+/// format-axis test).
 const SERVE_FORMATS: [FormatKind; 4] = [
     FormatKind::Csr,
     FormatKind::Coo,
@@ -603,6 +606,13 @@ fn format_axis_every_cell_matches_the_csr_path_for_spmv_spmm_pagerank() {
                     strip(&again.report),
                     "spmm {label}: report determinism"
                 );
+                if format == FormatKind::Coo {
+                    assert_eq!(
+                        strip(&run.report),
+                        strip(&csr.report),
+                        "spmm {label}: COO shares CSR's geometry, so reports must match"
+                    );
+                }
             }
         }
     }
@@ -635,16 +645,66 @@ fn format_axis_every_cell_matches_the_csr_path_for_spmv_spmm_pagerank() {
         }
     }
 
-    // CSC stays analysis-only: the serve path must refuse it loudly
-    // rather than silently falling back to CSR.
+    // CSC stays analysis-only: preparing it as a serving operand must
+    // fail loudly rather than silently falling back to CSR.
     let a = sparse::gen::uniform(30, 30, 120, 44);
-    let op = kernels::PreparedOperand::prepare(&a, FormatKind::Csc).unwrap();
-    let x = sparse::dense::test_vector(30);
-    let model = CostModel::standard();
     assert!(
-        spmv_format(&GpuSpec::v100(), &model, &a, &op, &x, ScheduleKind::ThreadMapped, 256)
-            .is_err(),
+        PreparedOperand::prepare(&a, FormatKind::Csc).is_err(),
         "CSC must not be servable"
+    );
+}
+
+/// FNV-1a (64-bit) over a rendering: a compact, dependency-free digest.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// SpMM's output and simulated cost, pinned: every format-corpus
+/// matrix × {thread-mapped, merge-path} × {cold, planned} × serving
+/// format renders its `C` bits, resolved schedule and launch report
+/// (sans the host wall-clock diagnostic, as `host_parallel` renders
+/// it), and the digest of the whole rendering must equal the one
+/// recorded before SpMM's body was rewritten. Any moved bit of `C`, or
+/// any moved number in a report, fails it.
+#[test]
+fn spmm_outputs_and_reports_are_pinned_across_formats_and_plans() {
+    use kernels::formats::{prepare_spmm_plan, spmm_format, spmm_format_with_plan};
+    use kernels::PreparedOperand;
+    use std::fmt::Write as _;
+
+    const PIN: u64 = 0x670c_1355_16d0_e8f3;
+    let spec = GpuSpec::v100();
+    let model = CostModel::standard();
+    let mut rendered = String::new();
+    for a in format_corpus() {
+        let b = DenseMatrix::from_fn(a.cols(), 3, |r, c| ((r + 2 * c) as f32).sin());
+        for format in SERVE_FORMATS {
+            let op = PreparedOperand::prepare(&a, format).unwrap();
+            for kind in [ScheduleKind::ThreadMapped, ScheduleKind::MergePath] {
+                let cold = spmm_format(&spec, &model, &a, &op, &b, kind).unwrap();
+                let plan = prepare_spmm_plan(&spec, &model, &a, &op, kind).unwrap();
+                let planned = spmm_format_with_plan(&spec, &model, &a, &op, &b, &plan).unwrap();
+                for (mode, run) in [("cold", cold), ("planned", planned)] {
+                    writeln!(
+                        rendered,
+                        "{}x{} {kind}@{format} {mode}: {:?} {} {:?}",
+                        a.rows(),
+                        a.cols(),
+                        bits(run.c.as_slice()),
+                        run.schedule,
+                        strip(&run.report)
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+    assert_eq!(
+        fnv1a(&rendered),
+        PIN,
+        "an SpMM output or launch report moved"
     );
 }
 

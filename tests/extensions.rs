@@ -27,13 +27,22 @@ fn work_queue_spmv_matches_reference_across_chunks() {
 fn ell_pipeline_csr_to_ell_to_spmv() {
     let spec = GpuSpec::v100();
     let a = sparse::gen::stencil9(60, 60, 102);
-    let e = sparse::Ell::from_csr(&a, 3.0).unwrap();
+    let op = kernels::PreparedOperand::prepare(&a, sparse::FormatKind::Ell).unwrap();
     let x = sparse::dense::test_vector(a.cols());
-    let run = kernels::spmv::spmv_ell(&spec, &e, &x).unwrap();
+    let run = kernels::formats::spmv_format(
+        &spec,
+        &simt::CostModel::standard(),
+        &a,
+        &op,
+        &x,
+        ScheduleKind::ThreadMapped,
+        kernels::spmv::DEFAULT_BLOCK,
+    )
+    .unwrap();
     let err = kernels::spmv::max_rel_error(&run.y, &a.spmv_ref(&x));
     assert!(err < 2e-3);
     // Round-trip sanity.
-    assert_eq!(e.to_csr(), a);
+    assert_eq!(sparse::Ell::from_csr(&a, 3.0).unwrap().to_csr(), a);
 }
 
 #[test]
