@@ -641,22 +641,28 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
     }
 
     /// Dynamic: persistent threads claiming tile chunks from a global
-    /// atomic queue; every claimed tile is a complete flat span.
+    /// atomic queue; every claimed tile is a complete flat span. Only the
+    /// threads with a first claim run lane by lane; the rest of each
+    /// block is charged as idle.
     fn work_queue<E: TileExec>(&self, chunk: u32, exec: &E) -> simt::Result<Dispatch> {
         let sched = WorkQueueSchedule::new(self.work, chunk as usize);
         let cfg = sched.launch_config(self.spec, self.block_dim);
-        let report = simt::launch_threads_with_model(self.spec, self.model, cfg, |t| {
-            sched.process_tiles(t, |lane, tile| {
-                exec.span(
-                    lane,
-                    &TileSpan {
-                        tile,
-                        atoms: self.work.tile_atoms(tile),
-                        complete: true,
-                    },
-                );
+        let kernel = |b: &mut simt::BlockCtx<'_>| {
+            let active = sched.claiming_threads(b.block_idx(), b.grid_dim(), b.block_dim());
+            b.for_each_active_thread(active, |t| {
+                sched.process_tiles(t, |lane, tile| {
+                    exec.span(
+                        lane,
+                        &TileSpan {
+                            tile,
+                            atoms: self.work.tile_atoms(tile),
+                            complete: true,
+                        },
+                    );
+                });
             });
-        })?;
+        };
+        let report = simt::launch_with_model(self.spec, self.model, cfg, &kernel)?;
         Ok(Dispatch {
             report,
             schedule: ScheduleKind::WorkQueue(sched.chunk() as u32),

@@ -22,6 +22,15 @@
 //! the dynamic schedule analytically — problem-size-independent launch
 //! shape and per-chunk claiming overhead — while its adaptive advantage
 //! on heterogeneous chunks is (conservatively) not credited.
+//!
+//! The persistent launch fills the device whatever the problem size, so
+//! on a small input most of its threads find the queue dry on their
+//! first grab. Those threads are charged, not run: first claims go out
+//! block-cyclically, so the threads that get one are a prefix of each
+//! block ([`WorkQueueSchedule::claiming_threads`]), and the dispatch
+//! engine simulates only that prefix lane by lane. The idle rest pay the
+//! thread prologue through [`simt::BlockCtx::for_each_active_thread`],
+//! which gives the same bits as running them.
 
 use crate::ranges::{step_range, Charged, StepRange};
 use crate::work::TileSet;
@@ -53,6 +62,22 @@ impl<'w, W: TileSet> WorkQueueSchedule<'w, W> {
             .map(|o| o.blocks_per_sm)
             .unwrap_or(1);
         LaunchConfig::new(spec.num_sms * occ, block_dim)
+    }
+
+    /// How many threads of block `block_idx` get a first claim, in a
+    /// launch of `grid_dim` blocks of `block_dim` threads. Thread `t`'s
+    /// first claim is chunk `t · grid_dim + block_idx`, so the threads
+    /// with one are a prefix of the block: `0..claiming_threads(..)`.
+    /// Every later thread finds the queue dry at once and does nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `grid_dim` is zero (no launch has an empty grid).
+    pub fn claiming_threads(&self, block_idx: u32, grid_dim: u32, block_dim: u32) -> u32 {
+        let chunks = self.work.num_tiles().div_ceil(self.chunk);
+        let from_this_block = chunks.saturating_sub(block_idx as usize);
+        let claiming = from_this_block.div_ceil(grid_dim as usize);
+        claiming.min(block_dim as usize) as u32
     }
 
     // LOC-BEGIN(work_queue)
@@ -200,6 +225,29 @@ mod tests {
         // (chunk=4: ~4 tiles per claiming lane vs 1 for static; the gap is
         // parallelism granularity plus the claiming atomics.)
         assert!(d >= s * 0.5, "and not mysteriously beat it: {d} vs {s}");
+    }
+
+    #[test]
+    fn claiming_threads_are_the_prefix_with_a_first_claim() {
+        for num_tiles in 0..=300usize {
+            let w = CountedTiles::from_counts(vec![1; num_tiles]);
+            for chunk in [1usize, 3, 7, 64] {
+                let sched = WorkQueueSchedule::new(&w, chunk);
+                for grid in [1u32, 2, 5] {
+                    for block in [1u32, 8, 13] {
+                        for b in 0..grid {
+                            // The first claim `process_tiles` makes.
+                            let claims = |t: u32| ((t * grid + b) as usize) * chunk < num_tiles;
+                            let want = (0..block).filter(|&t| claims(t)).count() as u32;
+                            let label =
+                                format!("n {num_tiles} chunk {chunk} block {b} of {grid}x{block}");
+                            assert!((0..want).all(claims), "not a prefix: {label}");
+                            assert_eq!(sched.claiming_threads(b, grid, block), want, "{label}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Per-block execution context and cost aggregation.
 //!
 //! A [`BlockCtx`] drives one thread block. Kernels structure their work as
-//! whole-block per-thread phases ([`BlockCtx::for_each_thread`]) or as
-//! cooperative-group phases ([`BlockCtx::for_each_group`]); either way the
-//! block records, per warp, the time the warp spends — including the idling
-//! implied by lockstep execution and barriers — and hands the result to the
-//! device-level makespan model.
+//! whole-block per-thread phases ([`BlockCtx::for_each_thread`], or
+//! [`BlockCtx::for_each_active_thread`] when only a prefix of the block
+//! has work) or as cooperative-group phases ([`BlockCtx::for_each_group`]);
+//! either way the block records, per warp, the time the warp spends —
+//! including the idling implied by lockstep execution and barriers — and
+//! hands the result to the device-level makespan model.
+//!
+//! The block owns one set of [`MemCounters`]. Every lane and group of the
+//! block records its traffic into that set through a shared reference, so
+//! no lane carries counters of its own and nothing is merged afterwards.
 
 use crate::cost::{CostModel, MemCounters, MemSummary};
 use crate::error::LaunchError;
@@ -150,7 +155,24 @@ impl<'a> BlockCtx<'a> {
     /// of other warps. This is the execution shape of per-thread kernels
     /// like thread-mapped or merge-path SpMV. Call [`BlockCtx::sync`]
     /// afterwards if the kernel needs `__syncthreads` semantics.
-    pub fn for_each_thread(&mut self, mut f: impl FnMut(&LaneCtx<'_>)) {
+    pub fn for_each_thread(&mut self, f: impl FnMut(&LaneCtx<'_>)) {
+        self.for_each_active_thread(self.block_dim, f);
+    }
+
+    /// [`Self::for_each_thread`] for a block whose threads at or past
+    /// `active` have nothing to do: `f` runs for threads `0..active` only,
+    /// and every later thread is charged the thread prologue without
+    /// building a lane. The caller promises that `f` would charge nothing
+    /// and touch nothing on those threads, as a persistent kernel's
+    /// threads do once they find the work queue dry.
+    ///
+    /// The result is bitwise the one `for_each_thread` gives with `f`
+    /// returning at once on the idle threads. An idle lane's units read
+    /// `0.0 + prologue`, so its warp takes that into its running maximum
+    /// once (a maximum does not change when a value repeats), and a traced
+    /// block adds it to `warp_active` once per idle thread, in thread
+    /// order, exactly as the lanes would have.
+    pub fn for_each_active_thread(&mut self, active: u32, mut f: impl FnMut(&LaneCtx<'_>)) {
         let warp_size = self.spec.warp_size;
         let prologue = if self.prologue_charged {
             0.0
@@ -158,29 +180,43 @@ impl<'a> BlockCtx<'a> {
             self.model.thread_prologue_cost
         };
         self.prologue_charged = true;
-        let mut warp_max = vec![0.0f64; self.warp_costs.len()];
-        for t in 0..self.block_dim {
-            let lane = LaneCtx::new(
-                t,
-                self.block_idx,
-                self.block_dim,
-                self.grid_dim,
-                warp_size,
-                t,
-                self.block_dim,
-                self.model,
-            );
-            lane.charge(prologue);
-            f(&lane);
-            let w = (t / warp_size) as usize;
-            warp_max[w] = warp_max[w].max(lane.units());
-            if self.stats {
-                self.warp_active[w] += lane.units();
+        // What an idle lane's units read: a lane starts at zero and is
+        // charged the prologue.
+        let idle_units = 0.0 + prologue;
+        let active = active.min(self.block_dim);
+        for (w, cost) in self.warp_costs.iter_mut().enumerate() {
+            let first = w as u32 * warp_size;
+            let end = (first + warp_size).min(self.block_dim);
+            let busy_end = active.clamp(first, end);
+            let mut warp_max = 0.0f64;
+            for t in first..busy_end {
+                let lane = LaneCtx::new(
+                    t,
+                    self.block_idx,
+                    self.block_dim,
+                    self.grid_dim,
+                    warp_size,
+                    t,
+                    self.block_dim,
+                    self.model,
+                    &self.counters,
+                );
+                lane.charge(prologue);
+                f(&lane);
+                warp_max = warp_max.max(lane.units());
+                if self.stats {
+                    self.warp_active[w] += lane.units();
+                }
             }
-            self.counters.merge(lane.counters());
-        }
-        for (c, m) in self.warp_costs.iter_mut().zip(warp_max) {
-            *c += m;
+            if busy_end < end {
+                warp_max = warp_max.max(idle_units);
+                if self.stats {
+                    for _ in busy_end..end {
+                        self.warp_active[w] += idle_units;
+                    }
+                }
+            }
+            *cost += warp_max;
         }
     }
 
@@ -462,6 +498,59 @@ mod tests {
         // Barrier-aligned: every warp fully active for its charged cost.
         for (c, a) in cost.warp_costs.iter().zip(&cost.warp_active) {
             assert!((a - c * 8.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn idle_tail_is_bitwise_equal_to_running_every_thread() {
+        // Block 13 on 8-wide warps: the second warp is partial.
+        let spec = GpuSpec::test_tiny();
+        let work = |l: &LaneCtx<'_>| {
+            l.charge(0.1 * f64::from(l.thread_idx() + 1));
+            l.read_bytes(u64::from(l.thread_idx()) + 3);
+            if l.lane_id().is_multiple_of(3) {
+                l.charge_atomic();
+            }
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let check = |model: &CostModel, active: u32, stats: bool, phases: u32| {
+            let mut tail = BlockCtx::with_stats(0, 13, 16, 4096, &spec, model, stats);
+            let mut every = BlockCtx::with_stats(0, 13, 16, 4096, &spec, model, stats);
+            let mut runs = 0u32;
+            for _ in 0..phases {
+                tail.for_each_active_thread(active, |l| {
+                    runs += 1;
+                    work(l);
+                });
+                every.for_each_thread(|l| {
+                    if l.thread_idx() < active {
+                        work(l);
+                    }
+                });
+            }
+            let p = model.thread_prologue_cost;
+            let label = format!("prologue {p}, active {active}, stats {stats}, {phases} phase(s)");
+            assert_eq!(runs, phases * active.min(13), "{label}");
+            let (tail, every) = (tail.finish().unwrap(), every.finish().unwrap());
+            assert_eq!(bits(&tail.warp_costs), bits(&every.warp_costs), "{label}");
+            assert_eq!(bits(&tail.warp_active), bits(&every.warp_active), "{label}");
+            assert_eq!(tail.warp_active.len(), if stats { 2 } else { 0 }, "{label}");
+            assert_eq!(tail.mem, every.mem, "{label}");
+        };
+        // The standard prologue, and one whose repeated sums round.
+        let rounding = CostModel {
+            thread_prologue_cost: 0.1,
+            ..CostModel::standard()
+        };
+        for model in [CostModel::standard(), rounding] {
+            for active in [0u32, 1, 7, 8, 9, 13, 20] {
+                for stats in [false, true] {
+                    // One phase pays the prologue; a second phase pays none.
+                    for phases in 1..=2 {
+                        check(&model, active, stats, phases);
+                    }
+                }
+            }
         }
     }
 

@@ -132,10 +132,11 @@ impl Default for CostModel {
     }
 }
 
-/// Per-scope memory-traffic counters.
+/// A block's memory-traffic counters.
 ///
-/// Interior-mutable so ranges and kernels can record traffic through a
-/// shared reference (several iterator adaptors may alias one lane context).
+/// Interior-mutable so every lane of the block records traffic through a
+/// shared reference (several iterator adaptors may alias one lane
+/// context, and every lane context of the block borrows these counters).
 #[derive(Debug, Default)]
 pub struct MemCounters {
     read_bytes: Cell<u64>,
@@ -193,16 +194,6 @@ impl MemCounters {
     /// Number of shared-memory accesses so far.
     pub fn shared_accesses(&self) -> u64 {
         self.shared_accesses.get()
-    }
-
-    /// Fold another counter set into this one.
-    pub fn merge(&self, other: &MemCounters) {
-        self.add_read(other.read_bytes());
-        self.add_write(other.write_bytes());
-        self.atomic_ops
-            .set(self.atomic_ops.get() + other.atomic_ops());
-        self.shared_accesses
-            .set(self.shared_accesses.get() + other.shared_accesses());
     }
 
     /// Snapshot into a plain, `Send` summary.
@@ -277,15 +268,13 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_merge() {
+    fn counters_accumulate_and_snapshot() {
         let a = MemCounters::new();
         a.add_read(100);
         a.add_write(40);
         a.add_atomic();
-        let b = MemCounters::new();
-        b.add_read(1);
-        b.add_shared();
-        a.merge(&b);
+        a.add_read(1);
+        a.add_shared();
         assert_eq!(a.read_bytes(), 101);
         assert_eq!(a.write_bytes(), 40);
         assert_eq!(a.total_bytes(), 141);

@@ -144,11 +144,11 @@ impl<'a> GroupCtx<'a> {
                 r,
                 self.group_size,
                 self.model,
+                self.counters,
             );
             lane.charge(prologue);
             out.push(f(&lane));
             max_cost = max_cost.max(lane.units());
-            self.counters.merge(lane.counters());
         }
         self.phases_run += 1;
         self.phase_maxima.push(max_cost);

@@ -6,6 +6,11 @@
 //! framework's composable ranges — can hold shared references to one lane
 //! at a time, mirroring how device code freely mixes loop nests over the
 //! same thread state.
+//!
+//! A lane owns only its work units, which the block needs per lane for
+//! the warp maximum. Its memory traffic goes straight into the block's
+//! [`MemCounters`], which the lane borrows: those counts are block totals
+//! anyway, and integer sums do not depend on the order lanes add them.
 
 use crate::cost::{CostModel, MemCounters};
 
@@ -21,7 +26,7 @@ pub struct LaneCtx<'a> {
     group_size: u32,
     model: &'a CostModel,
     units: std::cell::Cell<f64>,
-    counters: MemCounters,
+    counters: &'a MemCounters,
 }
 
 impl<'a> LaneCtx<'a> {
@@ -35,6 +40,7 @@ impl<'a> LaneCtx<'a> {
         group_rank: u32,
         group_size: u32,
         model: &'a CostModel,
+        counters: &'a MemCounters,
     ) -> Self {
         Self {
             thread_idx,
@@ -46,7 +52,7 @@ impl<'a> LaneCtx<'a> {
             group_size,
             model,
             units: std::cell::Cell::new(0.0),
-            counters: MemCounters::new(),
+            counters,
         }
     }
 
@@ -182,24 +188,20 @@ impl<'a> LaneCtx<'a> {
     pub fn units(&self) -> f64 {
         self.units.get()
     }
-
-    pub(crate) fn counters(&self) -> &MemCounters {
-        &self.counters
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lane(model: &CostModel) -> LaneCtx<'_> {
-        LaneCtx::new(37, 5, 128, 100, 32, 37, 128, model)
+    fn lane<'a>(model: &'a CostModel, counters: &'a MemCounters) -> LaneCtx<'a> {
+        LaneCtx::new(37, 5, 128, 100, 32, 37, 128, model, counters)
     }
 
     #[test]
     fn coordinates_follow_cuda_conventions() {
-        let m = CostModel::standard();
-        let l = lane(&m);
+        let (m, c) = (CostModel::standard(), MemCounters::new());
+        let l = lane(&m, &c);
         assert_eq!(l.global_thread_id(), 5 * 128 + 37);
         assert_eq!(l.grid_size(), 100 * 128);
         assert_eq!(l.lane_id(), 5);
@@ -211,8 +213,8 @@ mod tests {
 
     #[test]
     fn charges_accumulate_through_shared_reference() {
-        let m = CostModel::standard();
-        let l = lane(&m);
+        let (m, c) = (CostModel::standard(), MemCounters::new());
+        let l = lane(&m, &c);
         let r1 = &l;
         let r2 = &l;
         r1.charge(2.0);
@@ -222,8 +224,8 @@ mod tests {
 
     #[test]
     fn semantic_charges_use_model_constants() {
-        let m = CostModel::standard();
-        let l = lane(&m);
+        let (m, c) = (CostModel::standard(), MemCounters::new());
+        let l = lane(&m, &c);
         l.charge_atom();
         l.charge_tile();
         l.charge_range_iter();
@@ -232,25 +234,22 @@ mod tests {
             "got {}",
             l.units()
         );
-        assert_eq!(
-            l.counters().read_bytes(),
-            m.bytes_per_atom as u64 + m.bytes_per_tile as u64
-        );
+        assert_eq!(c.read_bytes(), m.bytes_per_atom as u64 + m.bytes_per_tile as u64);
     }
 
     #[test]
     fn atomic_charge_counts_traffic_and_op() {
-        let m = CostModel::standard();
-        let l = lane(&m);
+        let (m, c) = (CostModel::standard(), MemCounters::new());
+        let l = lane(&m, &c);
         l.charge_atomic();
-        assert_eq!(l.counters().atomic_ops(), 1);
+        assert_eq!(c.atomic_ops(), 1);
         assert_eq!(l.units(), m.atomic_cost);
     }
 
     #[test]
     fn search_charge_matches_model() {
-        let m = CostModel::standard();
-        let l = lane(&m);
+        let (m, c) = (CostModel::standard(), MemCounters::new());
+        let l = lane(&m, &c);
         l.charge_search(1 << 20);
         assert_eq!(l.units(), 20.0 * m.search_step_cost);
     }

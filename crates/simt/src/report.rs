@@ -68,8 +68,11 @@ impl LaunchReport {
     /// algorithms such as SpGEMM's count+fill or iterative SSSP): elapsed
     /// times add, traffic adds, per-SM busy times merge element-wise (the
     /// kernels run back-to-back on the same SMs), utilization and
-    /// boundedness are recomputed over the combined totals, and the rest
-    /// keeps the later launch's values.
+    /// boundedness are recomputed over the combined totals, and the rest —
+    /// `grid_dim`, `block_dim`, `shared_bytes`, `occupancy` and
+    /// `timing.effective_issue_width` — keeps the *first* launch's values
+    /// (`self`'s), so an accumulated report describes its first launch's
+    /// shape.
     pub fn accumulate(&mut self, other: &LaunchReport) {
         self.timing.elapsed_ms += other.timing.elapsed_ms;
         self.timing.compute_ms += other.timing.compute_ms;
@@ -164,11 +167,23 @@ mod tests {
     #[test]
     fn accumulate_adds_times_and_traffic() {
         let mut a = report(1.0);
-        let b = report(2.0);
+        let mut b = report(2.0);
+        // A second launch of another shape: the sum keeps the first's.
+        b.grid_dim = 7;
+        b.block_dim = 64;
+        b.shared_bytes = 512;
+        b.occupancy.blocks_per_sm = 4;
+        b.timing.effective_issue_width = 2.0;
+        let first = a.clone();
         a.accumulate(&b);
         assert!((a.elapsed_ms() - (1.01 + 2.01)).abs() < 1e-12);
         assert_eq!(a.mem.read_bytes, 20);
         assert!((a.timing.total_units - 200.0).abs() < 1e-12);
+        assert_eq!(
+            (a.grid_dim, a.block_dim, a.shared_bytes, a.occupancy),
+            (first.grid_dim, first.block_dim, first.shared_bytes, first.occupancy)
+        );
+        assert_eq!(a.timing.effective_issue_width, first.timing.effective_issue_width);
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!
 //! The closing proptest-style check (seeded in-repo generator, same
 //! idiom as `proptest_invariants.rs`) drives engine and legacy SpMV over
-//! random matrices, schedules, and block sizes.
+//! random matrices, schedules, and block sizes. The work-queue check
+//! pins the engine's idle-thread tail — it simulates only the threads
+//! that claim work — against the legacy launch, which runs every
+//! thread, traced and untraced.
 
 use kernels::graph::Graph;
 use loops::schedule::ScheduleKind;
@@ -835,5 +838,79 @@ fn engine_and_legacy_spmv_agree_on_random_cases() {
             strip(&lreport),
             "case {case}: launch report differs ({kind}, block {block_dim})"
         );
+    }
+}
+
+/// Every warp sample a traced launch emits, as bits:
+/// (block, warp, units, active fraction).
+#[derive(Debug, Default)]
+struct WarpSamples(std::sync::Mutex<Vec<(u32, u32, u64, u64)>>);
+
+impl trace::TraceSink for WarpSamples {
+    fn event(&self, ev: &trace::TraceEvent) {
+        if let trace::TraceEvent::Warp {
+            block,
+            warp,
+            units,
+            active_frac,
+            ..
+        } = *ev
+        {
+            let sample = (block, warp, units.to_bits(), active_frac.to_bits());
+            self.0.lock().expect("no sink user panics").push(sample);
+        }
+    }
+}
+
+/// Run `f` under a fresh [`WarpSamples`] sink; return its result and the
+/// samples.
+fn with_warp_samples<R>(f: impl FnOnce() -> R) -> (R, Vec<(u32, u32, u64, u64)>) {
+    let sink = std::sync::Arc::new(WarpSamples::default());
+    let out = simt::tracing::scoped(sink.clone(), "spmv/work-queue", f);
+    let samples = std::mem::take(&mut *sink.0.lock().expect("no sink user panics"));
+    (out, samples)
+}
+
+/// The engine's work-queue launch runs only the threads with a first
+/// claim and charges the rest as idle; the legacy launch runs every
+/// thread. On the V100 nearly every persistent thread is idle; on the
+/// tiny spec threads loop over several claims. Results, the whole
+/// report and, traced, every warp sample must agree bit for bit.
+#[test]
+fn work_queue_idle_tail_matches_the_every_thread_launch() {
+    let model = CostModel::standard();
+    let mut matrices = corpus();
+    matrices.push(sparse::gen::rmat(12, 8, (0.57, 0.19, 0.19), 23));
+    for spec in [GpuSpec::v100(), GpuSpec::test_tiny()] {
+        for a in &matrices {
+            let x = sparse::dense::test_vector(a.cols());
+            for chunk in [1u32, 8, 64, 1024] {
+                for block_dim in [64u32, 100, 256, 512] {
+                    if block_dim > spec.max_threads_per_block {
+                        continue;
+                    }
+                    let kind = ScheduleKind::WorkQueue(chunk);
+                    let (rows, cols) = (a.rows(), a.cols());
+                    let label = format!("{} {rows}x{cols} {kind} block {block_dim}", spec.name);
+                    let engine = || {
+                        kernels::spmv::spmv_with_model(&spec, &model, a, &x, kind, block_dim)
+                            .unwrap()
+                    };
+                    let every = || {
+                        legacy::spmv_with_model(&spec, &model, a, &x, kind, block_dim).unwrap()
+                    };
+                    let (run, (ly, lreport, _)) = (engine(), every());
+                    assert_eq!(bits(&run.y), bits(&ly), "{label}: y");
+                    assert_eq!(strip(&run.report), strip(&lreport), "{label}: report");
+
+                    let (traced, samples) = with_warp_samples(engine);
+                    let ((ly, lreport, _), lsamples) = with_warp_samples(every);
+                    assert_eq!(bits(&traced.y), bits(&ly), "{label}: traced y");
+                    assert_eq!(strip(&traced.report), strip(&lreport), "{label}: traced report");
+                    assert!(!samples.is_empty(), "{label}: the launch was traced");
+                    assert_eq!(samples, lsamples, "{label}: warp samples");
+                }
+            }
+        }
     }
 }
