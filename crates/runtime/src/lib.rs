@@ -854,7 +854,7 @@ impl Runtime {
         let mut devices = Vec::with_capacity(cfg.devices);
         let mut streams = Vec::with_capacity(cfg.devices);
         for _ in 0..cfg.devices {
-            let mut d = DeviceSim::with_model(spec.clone(), model.clone());
+            let mut d = DeviceSim::new(spec.clone());
             streams.push((0..cfg.streams_per_device).map(|_| d.create_stream()).collect());
             devices.push(d);
         }
@@ -1683,30 +1683,19 @@ impl Runtime {
                 }
             };
             first_device.get_or_insert(dev_idx);
-            match self.devices[dev_idx].try_replay_named(stream, &run.report, when, label) {
-                Ok(mut job) => {
+            match self.devices[dev_idx].replay(stream, &run.report, when, label) {
+                Ok(job) => {
                     self.health[dev_idx].consecutive_failures = 0;
                     if first_device != Some(dev_idx) {
                         ctrs.failovers += members.len();
                     }
-                    // Failed attempts burned launch overhead; fold it
-                    // into the job's cumulative report without
-                    // re-charging SM time or traffic.
-                    for _ in 0..attempt {
-                        job.report
-                            .fold_failed_attempt(self.spec.launch_overhead_us * 1e-3);
-                    }
                     break (dev_idx, stream, job);
                 }
-                Err(SimError::Launch(e)) => return Err(e),
                 Err(e) => {
                     attempt += 1;
                     ctrs.retries += 1;
-                    let at_ms = match e {
-                        SimError::DeviceLost { at_ms, .. }
-                        | SimError::TransientLaunch { at_ms, .. } => at_ms,
-                        SimError::Launch(_) => unreachable!("handled above"),
-                    };
+                    let (SimError::DeviceLost { at_ms, .. } | SimError::TransientLaunch { at_ms, .. }) =
+                        e;
                     let h = &mut self.health[dev_idx];
                     if matches!(e, SimError::DeviceLost { .. }) {
                         if !h.dead {
@@ -2379,7 +2368,7 @@ mod tests {
                 assert!(*start_ms >= span.0 - 1e-12 && *end_ms <= span.1 + 1e-12);
             }
         }
-        // Device kernels were traced through replay_named with schedule names.
+        // Device kernels were traced through DeviceSim::replay with schedule names.
         assert!(data
             .kernels()
             .all(|k| matches!(k, TraceEvent::Kernel { name, .. } if name.starts_with("spmv/"))));

@@ -90,17 +90,14 @@ pub type Result<T> = std::result::Result<T, LaunchError>;
 /// Errors produced when dispatching work onto a simulated device that may
 /// be running under an injected [`FaultPlan`](crate::fault::FaultPlan).
 ///
-/// [`LaunchError`] covers *static* validation failures (a shape the device
-/// could never run); `SimError` adds the *dynamic* failures a resilient
-/// runtime must survive: devices dying mid-run and transient launch
-/// failures worth retrying. The fallible dispatch entry points
-/// ([`DeviceSim::try_launch_at`](crate::stream::DeviceSim::try_launch_at),
-/// [`DeviceSim::try_replay_named`](crate::stream::DeviceSim::try_replay_named))
-/// return this type.
+/// [`LaunchError`] covers *static* validation failures, raised where a
+/// kernel executes ([`launch`](mod@crate::launch)); `SimError` covers the
+/// *dynamic* failures a resilient runtime must survive when
+/// [`DeviceSim::replay`](crate::stream::DeviceSim::replay) places the job
+/// on a device: devices dying mid-run and transient launch failures. Both
+/// are retryable, by failing over or by trying the same device again.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// Static launch validation failed (never retryable).
-    Launch(LaunchError),
     /// The device died (its [`FaultPlan`](crate::FaultPlan) kill tick passed); every future
     /// dispatch to it fails too. Jobs whose execution would cross the
     /// kill tick are lost and must be re-dispatched elsewhere.
@@ -120,19 +117,9 @@ pub enum SimError {
     },
 }
 
-impl SimError {
-    /// True if retrying the same dispatch may succeed (on this device or
-    /// another): transient failures are retryable, a lost device is only
-    /// recoverable by failing over, and validation errors never are.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, Self::TransientLaunch { .. } | Self::DeviceLost { .. })
-    }
-}
-
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Launch(e) => write!(f, "launch validation failed: {e}"),
             Self::DeviceLost { device, at_ms } => {
                 write!(f, "device {device} lost at {at_ms:.4} ms")
             }
@@ -143,20 +130,7 @@ impl fmt::Display for SimError {
     }
 }
 
-impl std::error::Error for SimError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Launch(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<LaunchError> for SimError {
-    fn from(e: LaunchError) -> Self {
-        Self::Launch(e)
-    }
-}
+impl std::error::Error for SimError {}
 
 /// Result alias for fault-aware dispatch operations.
 pub type SimResult<T> = std::result::Result<T, SimError>;
@@ -183,6 +157,10 @@ mod tests {
         };
         assert!(e.to_string().contains("invalid work"));
         assert!(e.to_string().contains("canonical"));
+        let lost = SimError::DeviceLost { device: 2, at_ms: 1.25 };
+        assert!(lost.to_string().contains("device 2"));
+        let transient = SimError::TransientLaunch { device: 0, at_ms: 0.5 };
+        assert!(transient.to_string().contains("transient"));
     }
 
     #[test]
@@ -190,18 +168,5 @@ mod tests {
         fn takes_err(_: &dyn std::error::Error) {}
         takes_err(&LaunchError::EmptyLaunch);
         takes_err(&SimError::DeviceLost { device: 0, at_ms: 1.0 });
-    }
-
-    #[test]
-    fn sim_errors_render_and_classify() {
-        let lost = SimError::DeviceLost { device: 2, at_ms: 1.25 };
-        assert!(lost.to_string().contains("device 2"));
-        assert!(lost.is_retryable(), "failover to another device can recover");
-        let transient = SimError::TransientLaunch { device: 0, at_ms: 0.5 };
-        assert!(transient.to_string().contains("transient"));
-        assert!(transient.is_retryable());
-        let bad = SimError::from(LaunchError::EmptyLaunch);
-        assert!(!bad.is_retryable());
-        assert!(std::error::Error::source(&bad).is_some());
     }
 }

@@ -75,10 +75,9 @@
 //! Resolution order: innermost [`scoped`] override → the process default
 //! from the `LOOPS_HOST_THREADS` environment variable (read once; `0`,
 //! `1`, unset, or unparsable mean sequential) → [`HostBackend::Sequential`].
-//! [`DeviceSim::set_host_backend`](crate::stream::DeviceSim::set_host_backend)
-//! and the dispatch engine's builder install scoped overrides around
-//! their launches, so the runtime's warm plan path and sharded serving
-//! inherit a backend without per-kernel changes.
+//! The dispatch engine's builder installs a scoped override around its
+//! launches, so the runtime's warm plan path and sharded serving inherit a
+//! backend without per-kernel changes.
 
 use crate::block::BlockCost;
 use crate::error::{LaunchError, Result};

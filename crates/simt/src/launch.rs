@@ -73,7 +73,7 @@ impl<F: Fn(&mut BlockCtx<'_>) + Sync> BlockKernel for F {
     }
 }
 
-pub(crate) fn validate(spec: &GpuSpec, cfg: &LaunchConfig) -> Result<Occupancy> {
+fn validate(spec: &GpuSpec, cfg: &LaunchConfig) -> Result<Occupancy> {
     if cfg.grid_dim == 0 || cfg.block_dim == 0 {
         return Err(LaunchError::EmptyLaunch);
     }
@@ -213,7 +213,7 @@ where
 /// On `Err`, the set of blocks that ran — and therefore every buffer
 /// the kernel writes — is backend-dependent and unspecified; callers
 /// must not read kernel output after an error.
-pub(crate) fn run_blocks<K: BlockKernel>(
+fn run_blocks<K: BlockKernel>(
     spec: &GpuSpec,
     model: &CostModel,
     cfg: &LaunchConfig,

@@ -106,4 +106,4 @@ pub use occupancy::Occupancy;
 pub use report::{LaunchReport, TimingBreakdown};
 pub use shared::SharedBuf;
 pub use spec::GpuSpec;
-pub use stream::{DeviceSim, Event, JobReport, StreamId, StreamReport};
+pub use stream::{DeviceSim, JobReport, StreamId};

@@ -104,24 +104,6 @@ impl LaunchReport {
         self.mem = self.mem.merged(other.mem);
         self.host_wall_ms += other.host_wall_ms;
     }
-
-    /// Fold the cost of a *failed* dispatch attempt into a cumulative
-    /// timing: the attempt burned launch overhead (and wall-clock) but
-    /// did **no** SM work and moved **no** memory, so only `overhead_ms`
-    /// and `elapsed_ms` grow. Using [`Self::accumulate`] here would
-    /// double-count the job's `sm_times_ms`, traffic, and work units
-    /// once the retry succeeds — a retried request must charge its SM
-    /// footprint exactly once, on the attempt that ran.
-    pub fn fold_failed_attempt(&mut self, overhead_ms: f64) {
-        self.timing.overhead_ms += overhead_ms;
-        self.timing.elapsed_ms += overhead_ms;
-        let busy: f64 = self.timing.sm_times_ms.iter().sum();
-        self.timing.sm_utilization = if self.timing.compute_ms > 0.0 {
-            busy / (self.timing.compute_ms * self.timing.sm_times_ms.len().max(1) as f64)
-        } else {
-            0.0
-        };
-    }
 }
 
 #[cfg(test)]
@@ -209,31 +191,6 @@ mod tests {
         b.timing.memory_ms = 50.0;
         a.accumulate(&b);
         assert_eq!(a.timing.bound, Boundedness::Memory);
-    }
-
-    #[test]
-    fn failed_attempts_charge_overhead_without_double_counting_sm_work() {
-        // Regression for retry accounting: a request that fails once and
-        // then succeeds must carry ONE copy of its SM footprint plus the
-        // failed attempt's overhead.
-        let success = report(2.0);
-        let mut retried = success.clone();
-        retried.fold_failed_attempt(0.01);
-        assert_eq!(
-            retried.timing.sm_times_ms, success.timing.sm_times_ms,
-            "a failed launch did no SM work"
-        );
-        assert_eq!(retried.mem, success.mem, "and moved no memory");
-        assert!((retried.timing.total_units - success.timing.total_units).abs() < 1e-12);
-        assert!((retried.timing.overhead_ms - (success.timing.overhead_ms + 0.01)).abs() < 1e-12);
-        assert!((retried.elapsed_ms() - (success.elapsed_ms() + 0.01)).abs() < 1e-12);
-        // The buggy alternative — accumulate()ing the attempt — doubles
-        // the per-SM profile and traffic; prove the difference is real.
-        let mut double = success.clone();
-        double.accumulate(&success);
-        assert_eq!(double.timing.sm_times_ms, vec![4.0; 4], "accumulate doubles SM time");
-        assert_eq!(double.mem.read_bytes, 20, "accumulate doubles traffic");
-        assert_eq!(retried.mem.read_bytes, 10);
     }
 
     #[test]

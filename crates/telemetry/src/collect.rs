@@ -252,10 +252,10 @@ impl TraceSink for TelemetryCollector {
                 }
             }
             // Warp statistics are too fine-grained for windowed series;
-            // spans and stream ops carry no windowed fact the kernel
-            // span doesn't; alerts are the collector's *output*.
+            // request spans carry no windowed fact the request instants
+            // and tenant samples don't; alerts are the collector's
+            // *output*.
             TraceEvent::Warp { .. }
-            | TraceEvent::StreamOp { .. }
             | TraceEvent::RequestSpan { .. }
             | TraceEvent::Alert { .. } => {}
         }

@@ -9,8 +9,8 @@
 //! * **pid** — the device index for device events, [`RUNTIME_PID`] for
 //!   serving-runtime events;
 //! * **tid** — the SM id for block spans, [`STREAM_TID_BASE`]` +
-//!   stream` for kernel spans and stream ops, the request id for
-//!   request rows, 0 for counters;
+//!   stream` for kernel spans, the request id for request rows, 0 for
+//!   counters;
 //! * **ts / dur** — microseconds (simulated milliseconds × 1000).
 //!
 //! Span nesting is encoded twice: visually (a block's `[ts, ts+dur]`
@@ -140,21 +140,6 @@ fn render(ev: &TraceEvent) -> Option<String> {
                     "args",
                     &args(&[("kernel", kernel.0 as f64), ("block", f64::from(block))]),
                 );
-        }
-        TraceEvent::StreamOp {
-            device,
-            stream,
-            op,
-            ts_ms,
-        } => {
-            o.str_field("name", op.name())
-                .str_field("cat", "stream")
-                .str_field("ph", "i")
-                .str_field("s", "t")
-                .num_field("ts", ts_ms * MS_TO_US)
-                .num_field("dur", 0.0)
-                .num_field("pid", f64::from(device))
-                .num_field("tid", f64::from(STREAM_TID_BASE + stream));
         }
         TraceEvent::Request { id, phase, ts_ms } => {
             o.str_field("name", phase.name())

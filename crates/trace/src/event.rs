@@ -23,25 +23,6 @@ impl KernelId {
     }
 }
 
-/// Stream-ordering operations on a simulated device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamOpKind {
-    /// `DeviceSim::record_event`: a completion marker was recorded.
-    RecordEvent,
-    /// `DeviceSim::wait_event`: a stream was held for an event.
-    WaitEvent,
-}
-
-impl StreamOpKind {
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::RecordEvent => "record_event",
-            Self::WaitEvent => "wait_event",
-        }
-    }
-}
-
 /// Lifecycle milestones of one serving-runtime request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestPhase {
@@ -287,17 +268,6 @@ pub enum TraceEvent {
         /// lanes idled while one lane worked.
         active_frac: f64,
     },
-    /// A stream-ordering operation.
-    StreamOp {
-        /// Device the stream belongs to.
-        device: u32,
-        /// The stream.
-        stream: u32,
-        /// What happened.
-        op: StreamOpKind,
-        /// When it resolved on the device clock.
-        ts_ms: f64,
-    },
     /// A request lifecycle milestone.
     Request {
         /// Request id.
@@ -437,7 +407,6 @@ mod tests {
         assert_eq!(RequestPhase::CacheHit.name(), "cache_hit");
         assert_eq!(RequestPhase::Retry.name(), "retry");
         assert_eq!(RequestPhase::DeadlineMiss.name(), "deadline_miss");
-        assert_eq!(StreamOpKind::WaitEvent.name(), "wait_event");
         assert_eq!(CounterKind::QueueDepth.name(), "queue_depth");
         assert_eq!(FaultKind::DeviceLost.name(), "device_lost");
         assert_eq!(FaultKind::TransientLaunch.name(), "transient_launch");

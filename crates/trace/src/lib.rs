@@ -38,8 +38,8 @@ pub mod summary;
 
 pub use chrome::{to_chrome_json, RUNTIME_PID, STREAM_TID_BASE};
 pub use event::{
-    AlertKind, CounterKind, FaultKind, KernelId, RequestPhase, ShardPhase, StreamOpKind,
-    TenantOutcome, TraceEvent, TunePhase,
+    AlertKind, CounterKind, FaultKind, KernelId, RequestPhase, ShardPhase, TenantOutcome,
+    TraceEvent, TunePhase,
 };
 pub use recorder::{Histogram, LongPole, Recorder, TraceData};
 pub use sink::{Fanout, NullSink, TraceSink};

@@ -1,9 +1,9 @@
 //! The ring-buffer recorder: the standard [`TraceSink`] implementation.
 //!
-//! Timeline events (kernel/block spans, stream ops, request lifecycle,
-//! counters) land in a bounded ring buffer — when full, the *oldest*
-//! events are dropped and counted, so a long run degrades gracefully
-//! into "the recent window" instead of unbounded memory. High-volume
+//! Timeline events (kernel/block spans, request lifecycle, counters)
+//! land in a bounded ring buffer — when full, the *oldest* events are
+//! dropped and counted, so a long run degrades gracefully into "the
+//! recent window" instead of unbounded memory. High-volume
 //! per-warp statistics are folded into histograms on arrival and never
 //! buffered individually; block spans additionally feed a block-duration
 //! histogram and a bounded top-N "long pole" table, which is the

@@ -162,48 +162,6 @@ fn parallel_backend_is_bitwise_equal_to_sequential_across_thread_counts() {
 }
 
 #[test]
-fn device_sim_pinned_backend_matches_scoped_and_sequential() {
-    // The `DeviceSim::set_host_backend` route must agree with both the
-    // thread-scoped route and the sequential default, shared-timeline
-    // placement included.
-    use simt::{DeviceSim, LaunchConfig};
-
-    let run = |backend: Option<HostBackend>| {
-        let mut dev = DeviceSim::new(GpuSpec::test_tiny());
-        if let Some(b) = backend {
-            dev.set_host_backend(b);
-        }
-        let s = dev.create_stream();
-        let mut y = vec![0.0f32; 4_096];
-        let mut jobs = Vec::new();
-        {
-            let gy = simt::GlobalMem::new(&mut y);
-            for wave in 0..3u64 {
-                let job = dev
-                    .launch_at(s, LaunchConfig::new(64, 64), &move |b: &mut simt::BlockCtx<'_>| {
-                        b.for_each_thread(|t| {
-                            let gid = t.global_thread_id() as usize;
-                            gy.fetch_add(gid, (wave + 1) as f32 * 0.25);
-                            t.charge(10.0);
-                        });
-                    }, 0.0)
-                    .unwrap();
-                jobs.push((job.start_ms.to_bits(), job.end_ms.to_bits()));
-            }
-        }
-        (bits(&y), jobs, dev.makespan_ms().to_bits())
-    };
-
-    let seq = run(None);
-    for threads in THREAD_COUNTS {
-        let pinned = run(Some(HostBackend::Parallel { threads }));
-        assert_eq!(seq, pinned, "pinned backend at {threads} threads");
-        let scoped = simt::host::scoped(HostBackend::Parallel { threads }, || run(None));
-        assert_eq!(seq, scoped, "scoped backend at {threads} threads");
-    }
-}
-
-#[test]
 fn env_default_resolution_is_overridden_by_scopes() {
     // Whatever LOOPS_HOST_THREADS says, an explicit scope wins — and the
     // innermost scope wins over an outer one.

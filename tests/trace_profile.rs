@@ -114,7 +114,7 @@ fn profile_outputs_are_valid_chrome_traces_with_nested_spans() {
             sts + sdur
         );
     }
-    // Device kernels appear in the serve trace too (via replay_named).
+    // Device kernels appear in the serve trace too (via DeviceSim::replay).
     assert!(serve.iter().any(|o| cat(o) == "kernel"));
     // Counters flowed from the runtime.
     assert!(serve
