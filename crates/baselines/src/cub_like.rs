@@ -23,7 +23,7 @@
 //!   scheduling overhead — the one regime where CUB beats the framework.
 
 use crate::BaselineRun;
-use simt::{CostModel, GlobalMem, GpuSpec, LaunchConfig, LaunchReport};
+use simt::{CostModel, GlobalMem, GpuSpec, LaunchConfig};
 use sparse::Csr;
 
 /// Merge items per thread (CUB's V100 tuning; matches the framework's
@@ -179,11 +179,6 @@ fn thread_mapped_spvv(
 /// the Figure 2 overhead comparison on sparse vectors.
 pub fn cub_merge_path_only(spec: &GpuSpec, a: &Csr<f32>, x: &[f32]) -> simt::Result<BaselineRun> {
     merge_path_fused(spec, &CostModel::fused(), a, x)
-}
-
-/// Accumulated-report helper used by tests.
-pub fn total_elapsed(r: &LaunchReport) -> f64 {
-    r.elapsed_ms()
 }
 
 #[cfg(test)]

@@ -374,17 +374,6 @@ pub struct KernelPlan {
     pub setup_ms: f64,
 }
 
-impl KernelPlan {
-    /// Approximate device memory the cached artifacts would occupy.
-    pub fn artifact_bytes(&self) -> usize {
-        let merge = self.merge_starts.as_ref().map_or(0, |s| s.len() * 4);
-        let lrb = self.lrb.as_ref().map_or(0, |p| {
-            p.order.len() * 4 + p.bin_offsets.len() * std::mem::size_of::<usize>()
-        });
-        merge + lrb
-    }
-}
-
 /// The schedule-polymorphic executor: a tile set plus launch policy,
 /// ready to run any [`TileExec`] under any [`ScheduleKind`].
 ///
@@ -445,7 +434,6 @@ pub struct BalancedLaunch<'a, W> {
     work: &'a W,
     block_dim: u32,
     merge_items: usize,
-    host_backend: Option<simt::HostBackend>,
 }
 
 impl<'a, W: TileSet> BalancedLaunch<'a, W> {
@@ -458,7 +446,6 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
             work,
             block_dim: DEFAULT_BLOCK.min(spec.max_threads_per_block),
             merge_items: MERGE_ITEMS_PER_THREAD,
-            host_backend: None,
         }
     }
 
@@ -477,25 +464,6 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
         self
     }
 
-    /// Pin the host execution backend for this executor's launches
-    /// (including plan preparation, whose LRB binning launches a
-    /// kernel). Results, reports, and simulated timing are bitwise
-    /// identical for every backend; only host wall-clock changes. The
-    /// default defers to the ambient `simt::host` resolution (scoped
-    /// override, then `LOOPS_HOST_THREADS`).
-    pub fn host_backend(mut self, backend: simt::HostBackend) -> Self {
-        self.host_backend = Some(backend);
-        self
-    }
-
-    /// Run `f` under this executor's backend, if one is pinned.
-    fn with_backend<R>(&self, f: impl FnOnce() -> R) -> R {
-        match self.host_backend {
-            Some(b) => simt::host::scoped(b, f),
-            None => f(),
-        }
-    }
-
     /// The block size this launch will use (post-clamp).
     pub fn effective_block_dim(&self) -> u32 {
         self.block_dim
@@ -504,7 +472,7 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
     /// Run `exec` under `kind` — the single schedule switch every kernel
     /// dispatches through.
     pub fn run<E: TileExec>(&self, kind: ScheduleKind, exec: &E) -> simt::Result<Dispatch> {
-        self.with_backend(|| match kind {
+        match kind {
             ScheduleKind::ThreadMapped => self.thread_mapped(exec),
             ScheduleKind::MergePath => self.merge_path(exec, None),
             ScheduleKind::WarpMapped => self.group_mapped(self.spec.warp_size, exec),
@@ -512,7 +480,7 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
             ScheduleKind::GroupMapped(g) => self.group_mapped(g, exec),
             ScheduleKind::WorkQueue(chunk) => self.work_queue(chunk, exec),
             ScheduleKind::Lrb => self.lrb(exec, None),
-        })
+        }
     }
 
     /// Prepare a [`KernelPlan`] for `kind`: compute the pattern-only
@@ -525,11 +493,10 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
             lrb: None,
             setup_ms: 0.0,
         };
-        self.with_backend(|| match kind {
+        match kind {
             ScheduleKind::MergePath => {
                 let sched = MergePathSchedule::new(self.work, self.merge_items);
                 plan.merge_starts = Some(sched.partition());
-                Ok(())
             }
             ScheduleKind::Lrb => {
                 let sched = LrbSchedule {
@@ -539,12 +506,11 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
                 let lrb = sched.bin_tiles(self.spec, self.model, self.work)?;
                 plan.setup_ms = lrb.binning_report.elapsed_ms();
                 plan.lrb = Some(lrb);
-                Ok(())
             }
             // The remaining schedules have no pattern-dependent setup to
             // cache; the plan still pins the schedule + block size.
-            _ => Ok(()),
-        })?;
+            _ => {}
+        }
         Ok(plan)
     }
 
@@ -555,11 +521,11 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
     /// *not* applied automatically — callers set it via
     /// [`Self::block_dim`] so the clamp stays in one place.
     pub fn run_planned<E: TileExec>(&self, plan: &KernelPlan, exec: &E) -> simt::Result<Dispatch> {
-        self.with_backend(|| match plan.schedule {
+        match plan.schedule {
             ScheduleKind::MergePath => self.merge_path(exec, plan.merge_starts.as_deref()),
             ScheduleKind::Lrb => self.lrb(exec, plan.lrb.as_ref()),
             kind => self.run(kind, exec),
-        })
+        }
     }
 
     /// Listing 2/3: tile per thread, grid-strided; every span complete.

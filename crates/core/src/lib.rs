@@ -4,12 +4,13 @@
 //! load-balancing abstraction that **separates workload mapping from work
 //! execution**. The pipeline has three stages (paper §3, Figure 1):
 //!
-//! 1. **Define the work** ([`work`], [`adapters`], [`iterators`]): a sparse
-//!    data structure is described as *work atoms* (indivisible units, e.g.
+//! 1. **Define the work** ([`work`], [`adapters`]): a sparse data
+//!    structure is described as *work atoms* (indivisible units, e.g.
 //!    nonzeros), *work tiles* (logical groups, e.g. rows), and a *tile set*
 //!    (the whole problem). Any format reduces to three sequences: the
-//!    atoms, the tiles, and the atoms-per-tile counts — exactly the three
-//!    iterators of the paper's Listing 1.
+//!    atoms, the tiles, and the atoms-per-tile counts — the three
+//!    iterators of the paper's Listing 1, which [`work::TileSet`]
+//!    answers as methods (`num_tiles`, `tile_atoms`, `atoms_in_tile`).
 //!
 //! 2. **Define the load balance** ([`schedule`]): a pluggable schedule maps
 //!    tiles/atoms onto processing elements and hands each element
@@ -86,7 +87,6 @@
 pub mod adapters;
 pub mod dispatch;
 pub mod heuristic;
-pub mod iterators;
 pub mod ranges;
 pub mod schedule;
 pub mod view;

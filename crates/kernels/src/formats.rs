@@ -654,7 +654,7 @@ pub fn pagerank_format(
 ) -> simt::Result<PageRankRun> {
     let n = g.num_vertices();
     let uniform = vec![1.0f32 / n as f32; n];
-    crate::pagerank::power_iteration(spec, g, kind, format, tol, max_iters, &uniform)
+    crate::pagerank::pagerank_in(spec, g, kind, format, tol, max_iters, &uniform)
 }
 
 #[cfg(test)]

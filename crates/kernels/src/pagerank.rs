@@ -79,14 +79,13 @@ pub fn pagerank_warm(
     max_iters: usize,
     init: &[f32],
 ) -> simt::Result<PageRankRun> {
-    power_iteration(spec, g, kind, FormatKind::Csr, tol, max_iters, init)
+    pagerank_in(spec, g, kind, FormatKind::Csr, tol, max_iters, init)
 }
 
-/// The power iteration every PageRank entry point runs: `Mᵀ` prepared
-/// in `format`, iterated from `init` (L1-normalized first, see
-/// [`pagerank_warm`]) until the L1 delta falls below `tol` or
-/// `max_iters` is reached.
-pub(crate) fn power_iteration(
+/// PageRank on one device: `Mᵀ` prepared in `format`, iterated by
+/// [`power_iteration`] from `init`, with every iteration's launch
+/// report accumulated.
+pub(crate) fn pagerank_in(
     spec: &GpuSpec,
     g: &Graph,
     kind: ScheduleKind,
@@ -95,17 +94,50 @@ pub(crate) fn power_iteration(
     max_iters: usize,
     init: &[f32],
 ) -> simt::Result<PageRankRun> {
+    let mt = normalized_transpose(g);
+    let op = PreparedOperand::prepare(&mt, format)?;
+    let model = CostModel::standard();
+    let mut total: Option<LaunchReport> = None;
+    let (rank, iterations) = power_iteration(g, tol, max_iters, init, |rank| {
+        let run = spmv_format(spec, &model, &mt, &op, rank, kind, DEFAULT_BLOCK)?;
+        match &mut total {
+            Some(t) => t.accumulate(&run.report),
+            None => total = Some(run.report),
+        }
+        Ok(run.y)
+    })?;
+    Ok(PageRankRun {
+        rank,
+        iterations,
+        report: total.expect("at least one iteration"),
+    })
+}
+
+/// The power iteration every PageRank entry point runs, single-device
+/// and sharded alike: `init` is L1-normalized first (see
+/// [`pagerank_warm`]), then each iteration asks `spmv` for `Mᵀ · rank`
+/// and applies the dangling-mass, teleport and L1-delta update on the
+/// host, until the delta falls below `tol` or `max_iters` is reached.
+/// Returns the ranks and the iterations run. Two callers whose `spmv`
+/// steps return the same bits get the same ranks, bitwise.
+///
+/// # Panics
+/// If `g` has no vertices or `init` does not hold one rank per vertex.
+pub fn power_iteration(
+    g: &Graph,
+    tol: f32,
+    max_iters: usize,
+    init: &[f32],
+    mut spmv: impl FnMut(&[f32]) -> simt::Result<Vec<f32>>,
+) -> simt::Result<(Vec<f32>, usize)> {
     let n = g.num_vertices();
     assert!(n > 0, "graph must have vertices");
     assert_eq!(init.len(), n, "init must have one rank per vertex");
-    let mt = normalized_transpose(g);
-    let op = PreparedOperand::prepare(&mt, format)?;
     let dangling: Vec<usize> = (0..n).filter(|&u| g.degree(u) == 0).collect();
-    let model = CostModel::standard();
 
-    // Normalize the warm start to a probability vector. A uniform init
-    // already sums to 1 (n · (1/n) with exact rounding at these sizes),
-    // so the cold path's values pass through unchanged.
+    // Normalize the start to a probability vector. The f32 sum of a
+    // uniform start misses 1 by more than 1e-6 at some sizes (n = 1000
+    // does), and such a start is rescaled like any other.
     let mass: f32 = init.iter().sum();
     let mut rank: Vec<f32> = if mass > 0.0 && (mass - 1.0).abs() > 1e-6 {
         init.iter().map(|&r| r / mass).collect()
@@ -113,32 +145,19 @@ pub(crate) fn power_iteration(
         init.to_vec()
     };
     let mut iterations = 0usize;
-    let mut total: Option<LaunchReport> = None;
     while iterations < max_iters {
-        let run = spmv_format(spec, &model, &mt, &op, &rank, kind, DEFAULT_BLOCK)?;
+        let y = spmv(&rank)?;
         let dangling_mass: f32 = dangling.iter().map(|&u| rank[u]).sum();
         let teleport = (1.0 - DAMPING) / n as f32 + DAMPING * dangling_mass / n as f32;
-        let next: Vec<f32> = run.y.iter().map(|&s| teleport + DAMPING * s).collect();
-        let delta: f32 = next
-            .iter()
-            .zip(&rank)
-            .map(|(a, b)| (a - b).abs())
-            .sum();
+        let next: Vec<f32> = y.iter().map(|&s| teleport + DAMPING * s).collect();
+        let delta: f32 = next.iter().zip(&rank).map(|(a, b)| (a - b).abs()).sum();
         rank = next;
-        match &mut total {
-            Some(t) => t.accumulate(&run.report),
-            None => total = Some(run.report),
-        }
         iterations += 1;
         if delta < tol {
             break;
         }
     }
-    Ok(PageRankRun {
-        rank,
-        iterations,
-        report: total.expect("at least one iteration"),
-    })
+    Ok((rank, iterations))
 }
 
 /// CPU reference implementation (identical math, f64 accumulation).

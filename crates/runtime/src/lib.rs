@@ -2206,6 +2206,7 @@ mod tests {
         let text = format!("{rep}");
         assert!(text.contains("served 0/5 requests (5 rejected)"));
         assert!(!text.contains("NaN"));
+        assert!(!text.contains("sharding:"), "default shard counters are inactive");
 
         let m = corpus(1, 950);
         let reqs = stream(&m, 50);

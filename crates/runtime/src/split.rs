@@ -22,7 +22,7 @@ use loops::heuristic::Heuristic;
 use loops::schedule::ScheduleKind;
 use sparse::Csr;
 
-use crate::{Runtime, ShardCounters};
+use crate::Runtime;
 
 /// Coerce a schedule to the nearest *bitwise row-decomposable* one.
 ///
@@ -131,30 +131,6 @@ pub fn split_spmv(
     })
 }
 
-/// Merge per-shard partial vectors by concatenation — the only merge a
-/// row-aligned partition needs, and the reason it is bitwise exact: no
-/// arithmetic happens, so no rounding can diverge from the single-shard
-/// path.
-pub fn merge_partials(parts: &[Vec<f32>]) -> Vec<f32> {
-    let mut y = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        y.extend_from_slice(p);
-    }
-    y
-}
-
-/// Fold per-shard [`ShardCounters`] into group totals.
-pub fn sum_shard_counters(counters: &[ShardCounters]) -> ShardCounters {
-    let mut total = ShardCounters::default();
-    for c in counters {
-        total.routed += c.routed;
-        total.halo_bytes += c.halo_bytes;
-        total.merges += c.merges;
-        total.shard_rejects += c.shard_rejects;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,36 +232,5 @@ mod tests {
             &x,
             ScheduleKind::MergePath,
         );
-    }
-
-    #[test]
-    fn merge_partials_concatenates() {
-        let merged = merge_partials(&[vec![1.0f32, 2.0], vec![], vec![3.0]]);
-        assert_eq!(merged, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn shard_counter_sums_fold_componentwise() {
-        let total = sum_shard_counters(&[
-            ShardCounters {
-                routed: 3,
-                halo_bytes: 16,
-                merges: 2,
-                shard_rejects: 1,
-            },
-            ShardCounters::default(),
-            ShardCounters {
-                routed: 1,
-                halo_bytes: 4,
-                merges: 1,
-                shard_rejects: 0,
-            },
-        ]);
-        assert_eq!(total.routed, 4);
-        assert_eq!(total.halo_bytes, 20);
-        assert_eq!(total.merges, 3);
-        assert_eq!(total.shard_rejects, 1);
-        assert!(total.is_active());
-        assert!(!ShardCounters::default().is_active());
     }
 }

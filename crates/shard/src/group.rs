@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use kernels::graph::Graph;
-use kernels::pagerank::{normalized_transpose, DAMPING};
+use kernels::pagerank::{normalized_transpose, power_iteration};
 use loops::schedule::ScheduleKind;
 use runtime::split::{pinned_schedule, split_spmv};
 use runtime::{
@@ -84,6 +84,11 @@ impl ShardGroupConfig {
 /// analogue of the runtime's plan cache).
 #[derive(Debug)]
 struct SplitEntry {
+    /// The source's [`Csr::value_epoch`] when it was partitioned. The
+    /// cache key is the source's address, which an in-place mutation
+    /// keeps and a later matrix can reuse; a different epoch means the
+    /// sub-matrices hold stale values.
+    epoch: u64,
     subs: Vec<Arc<Csr<f32>>>,
     kind: ScheduleKind,
     halo_bytes: Vec<u64>,
@@ -189,10 +194,12 @@ impl ShardGroup {
         }
     }
 
-    /// Partition (or recall) the split-mode plan for `a`.
+    /// Partition (or recall) the split-mode plan for `a`, re-partitioning
+    /// when `a`'s values changed since the cached partition was cut.
     fn split_entry(&mut self, a: &Arc<Csr<f32>>) -> &SplitEntry {
         let key = Arc::as_ptr(a) as usize;
-        if !self.splits.contains_key(&key) {
+        let epoch = a.value_epoch();
+        if self.splits.get(&key).is_none_or(|e| e.epoch != epoch) {
             let plan = ShardPlan::partition(a.as_ref(), self.shards.len(), self.cfg.strategy);
             let subs = (0..plan.num_shards())
                 .map(|s| Arc::new(plan.submatrix(a.as_ref(), s)))
@@ -206,6 +213,7 @@ impl ShardGroup {
             self.splits.insert(
                 key,
                 SplitEntry {
+                    epoch,
                     subs,
                     kind: pinned_schedule(a),
                     total_halo: plan.total_halo_bytes(),
@@ -429,11 +437,11 @@ impl ShardGroup {
     }
 
     /// Sharded PageRank: the normalized transpose is partitioned once,
-    /// every power iteration is one split execution plus the
-    /// bulk-synchronous communication charge, and the scalar update
-    /// (dangling mass, teleport, delta) runs on the *merged* vector in
-    /// exactly `kernels::pagerank`'s order — which is why the ranks are
-    /// bitwise identical to the single-shard run at any shard count.
+    /// and `kernels::pagerank`'s own [`power_iteration`] runs with one
+    /// split execution plus the bulk-synchronous communication charge as
+    /// its SpMV step. The scalar update (dangling mass, teleport, delta)
+    /// runs on the *merged* vector, which is why the ranks are bitwise
+    /// identical to the single-shard run at any shard count.
     pub fn pagerank(
         &mut self,
         g: &Graph,
@@ -449,26 +457,16 @@ impl ShardGroup {
             .map(|s| Arc::new(plan.submatrix(&mt, s)))
             .collect();
         let halo: Vec<u64> = plan.shards.iter().map(|s| s.halo_bytes()).collect();
-        let dangling: Vec<usize> = (0..n).filter(|&u| g.degree(u) == 0).collect();
 
-        let mut rank = vec![1.0f32 / n as f32; n];
-        let mut iterations = 0usize;
         let mut compute_ms = 0.0f64;
         let mut comm_ms = 0.0f64;
-        while iterations < max_iters {
-            let run = split_spmv(&mut self.shards, &subs, &rank, kind)?;
+        let init = vec![1.0f32 / n as f32; n];
+        let (rank, iterations) = power_iteration(g, tol, max_iters, &init, |rank| {
+            let run = split_spmv(&mut self.shards, &subs, rank, kind)?;
             compute_ms += run.critical_shard_ms();
             comm_ms += halo_exchange(&self.link, &halo, plan.max_output_bytes()).total_ms();
-            let dangling_mass: f32 = dangling.iter().map(|&u| rank[u]).sum();
-            let teleport = (1.0 - DAMPING) / n as f32 + DAMPING * dangling_mass / n as f32;
-            let next: Vec<f32> = run.y.iter().map(|&s| teleport + DAMPING * s).collect();
-            let delta: f32 = next.iter().zip(&rank).map(|(a, b)| (a - b).abs()).sum();
-            rank = next;
-            iterations += 1;
-            if delta < tol {
-                break;
-            }
-        }
+            Ok(run.y)
+        })?;
         Ok(ShardPageRank {
             rank,
             iterations,

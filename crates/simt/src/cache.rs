@@ -31,15 +31,6 @@ impl CacheConfig {
         }
     }
 
-    /// One SM's 128 KiB L1/texture path (modeled 4-way).
-    pub fn v100_l1() -> Self {
-        Self {
-            size_bytes: 128 * 1024,
-            line_bytes: 32,
-            ways: 4,
-        }
-    }
-
     /// Number of sets implied by the geometry.
     pub fn num_sets(&self) -> u64 {
         (self.size_bytes / self.line_bytes / u64::from(self.ways)).max(1)

@@ -504,7 +504,7 @@ mod tests {
         assert!(kernels
             .iter()
             .all(|k| matches!(k, TraceEvent::Kernel { name: "spmv/merge-path", device: 2, .. })));
-        assert!(data.blocks > 0, "footprint blocks recorded");
+        assert!(data.block_durations.count > 0, "footprint blocks recorded");
         // Every block span sits inside its kernel's span.
         for ev in &data.events {
             if let TraceEvent::Block { kernel, start_ms, end_ms, .. } = ev {

@@ -21,12 +21,12 @@
 //!
 //! Spans are charged to the window containing their *start*; instants
 //! to the window containing their timestamp. At [`finish`] the SLO
-//! detectors run over the complete registry and each alert is forwarded
-//! to the optional downstream sink as a [`TraceEvent::Alert`].
+//! detectors run over the complete registry and their alerts land in
+//! the returned [`TelemetrySnapshot`].
 //!
 //! [`finish`]: TelemetryCollector::finish
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use trace::{RequestPhase, ShardPhase, TenantOutcome, TraceEvent, TraceSink, TunePhase};
 
@@ -75,7 +75,6 @@ pub struct TelemetrySnapshot {
 pub struct TelemetryCollector {
     config: TelemetryConfig,
     registry: Mutex<MetricsRegistry>,
-    downstream: Mutex<Option<Arc<dyn TraceSink>>>,
 }
 
 impl Default for TelemetryCollector {
@@ -90,27 +89,14 @@ impl TelemetryCollector {
         Self {
             config,
             registry: Mutex::new(MetricsRegistry::new(config.window_ms)),
-            downstream: Mutex::new(None),
         }
     }
 
-    /// Forward detector alerts to `sink` (as [`TraceEvent::Alert`]s)
-    /// when [`finish`](Self::finish) runs — typically a
-    /// [`trace::Recorder`] so alerts appear on the exported timeline.
-    pub fn set_downstream(&self, sink: Arc<dyn TraceSink>) {
-        *self.downstream.lock().expect("collector poisoned") = Some(sink);
-    }
-
-    /// Run the SLO detectors over everything collected so far, forward
-    /// each alert downstream, and return the snapshot.
+    /// Run the SLO detectors over everything collected so far and
+    /// return the snapshot.
     pub fn finish(&self) -> TelemetrySnapshot {
         let registry = self.registry.lock().expect("collector poisoned").clone();
         let alerts = evaluate(&registry, &self.config.slo);
-        if let Some(sink) = self.downstream.lock().expect("collector poisoned").as_ref() {
-            for a in &alerts {
-                sink.event(&a.to_event());
-            }
-        }
         TelemetrySnapshot {
             registry,
             alerts,
@@ -253,11 +239,8 @@ impl TraceSink for TelemetryCollector {
             }
             // Warp statistics are too fine-grained for windowed series;
             // request spans carry no windowed fact the request instants
-            // and tenant samples don't; alerts are the collector's
-            // *output*.
-            TraceEvent::Warp { .. }
-            | TraceEvent::RequestSpan { .. }
-            | TraceEvent::Alert { .. } => {}
+            // and tenant samples don't.
+            TraceEvent::Warp { .. } | TraceEvent::RequestSpan { .. } => {}
         }
     }
 }
@@ -265,7 +248,6 @@ impl TraceSink for TelemetryCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace::Recorder;
 
     #[test]
     fn request_phases_map_to_counters() {
@@ -317,31 +299,6 @@ mod tests {
         let h = snap.registry.hist_total("request_latency_ms", &tl);
         assert_eq!(h.count, 1, "only served requests contribute latency");
         assert_eq!(h.max, 4.0);
-    }
-
-    #[test]
-    fn finish_forwards_alerts_downstream() {
-        let mut config = TelemetryConfig::default();
-        config.slo.min_window_samples = 1;
-        let c = TelemetryCollector::new(config);
-        let recorder = Arc::new(Recorder::new());
-        c.set_downstream(recorder.clone());
-        // One tenant missing 100% of its deadline against a 1% budget.
-        c.event(&TraceEvent::TenantSample {
-            tenant: 0,
-            ts_ms: 1.0,
-            latency_ms: 0.0,
-            outcome: TenantOutcome::DeadlineMiss,
-        });
-        let snap = c.finish();
-        assert_eq!(snap.alerts.len(), 1);
-        let data = recorder.snapshot();
-        assert!(
-            data.events
-                .iter()
-                .any(|e| matches!(e, TraceEvent::Alert { .. })),
-            "alert forwarded to downstream sink"
-        );
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! bit patterns; byte-identical runs therefore produce byte-identical
 //! files, which CI enforces by diffing two seeded runs.
 
+use trace::LogHistogram;
+
 use crate::collect::TelemetrySnapshot;
-use crate::hist::LogHistogram;
 
 /// Quote one CSV field if it contains a comma or a quote (label sets
 /// do: their canonical form is `key="value",key2="value2"`).
@@ -123,13 +124,9 @@ pub fn to_prometheus(snap: &TelemetrySnapshot) -> String {
             prom_line(&mut out, name, "", labels, g.last);
         }
     }
-    for (name, labels, windows) in reg.histograms_sorted() {
+    for (name, labels, _) in reg.histograms_sorted() {
         type_line(&mut out, name, "histogram");
-        let mut total = LogHistogram::new();
-        for h in windows.values() {
-            total.merge(h);
-        }
-        prom_hist(&mut out, name, labels, &total);
+        prom_hist(&mut out, name, labels, &reg.hist_total(name, labels));
     }
     if !snap.alerts.is_empty() {
         out.push_str("# TYPE telemetry_alerts_total counter\n");

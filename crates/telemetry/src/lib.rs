@@ -11,7 +11,7 @@
 //! Layers:
 //!
 //! * [`metrics::MetricsRegistry`] — counters, gauges (with per-window
-//!   extrema), and log-bucketed histograms ([`hist::LogHistogram`],
+//!   extrema), and log-bucketed histograms ([`trace::LogHistogram`],
 //!   exact power-of-two edges), keyed by interned `(name, label set)`.
 //! * [`collect::TelemetryCollector`] — a [`trace::TraceSink`] that
 //!   folds the existing event stream into the registry. Attaching it is
@@ -20,7 +20,8 @@
 //!   invisible.
 //! * [`slo`] — per-tenant deadline-miss budgets with window burn
 //!   rates, plus cache-collapse / queue-growth / shard-imbalance
-//!   detectors, each raising a typed `TraceEvent::Alert`.
+//!   detectors, each raising a typed [`slo::Alert`] that every exporter
+//!   reads from the snapshot.
 //! * [`export`] + [`dashboard`] — Prometheus text exposition, the
 //!   `telemetry_serve.csv` time series, and the operator dashboard.
 //!
@@ -34,12 +35,10 @@
 pub mod collect;
 pub mod dashboard;
 pub mod export;
-pub mod hist;
 pub mod metrics;
 pub mod slo;
 
 pub use collect::{TelemetryCollector, TelemetryConfig, TelemetrySnapshot};
 pub use export::{to_csv, to_prometheus};
-pub use hist::LogHistogram;
 pub use metrics::{labels, GaugeWindow, Interner, MetricsRegistry, SymbolId, NO_LABELS};
-pub use slo::{evaluate, Alert, SloPolicy};
+pub use slo::{evaluate, Alert, AlertKind, SloPolicy};

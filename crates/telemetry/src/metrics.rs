@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::hist::LogHistogram;
+use trace::LogHistogram;
 
 /// An interned string id (metric name or canonical label set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -265,15 +265,6 @@ impl MetricsRegistry {
     /// Histogram series in exporter order.
     pub fn histograms_sorted(&self) -> Vec<(&str, &str, &BTreeMap<u64, LogHistogram>)> {
         Self::sorted(&self.interner, &self.histograms)
-    }
-
-    /// Label sets (canonical strings) under one metric name, sorted.
-    pub fn hist_label_sets(&self, name: &str) -> Vec<&str> {
-        self.histograms_sorted()
-            .into_iter()
-            .filter(|(n, _, _)| *n == name)
-            .map(|(_, l, _)| l)
-            .collect()
     }
 
     /// Label sets under one counter name, sorted.

@@ -20,8 +20,6 @@
 //! fixed order, so the alert list is deterministic and two same-seed
 //! runs produce identical alerts.
 
-use trace::{AlertKind, TraceEvent};
-
 use crate::metrics::{MetricsRegistry, NO_LABELS};
 
 /// Thresholds for the detectors. The defaults are deliberately
@@ -60,8 +58,34 @@ impl Default for SloPolicy {
     }
 }
 
-/// One fired detector: the typed payload behind a
-/// [`TraceEvent::Alert`].
+/// SLO alert categories, one per detector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AlertKind {
+    /// A tenant's windowed deadline-miss rate burned its error budget
+    /// faster than the policy allows.
+    SloBurnRate,
+    /// The plan-cache hit rate collapsed below the policy floor.
+    CacheHitCollapse,
+    /// The in-flight queue's window peak grew past the policy bound.
+    QueueGrowth,
+    /// Routed load skewed across shards beyond the policy bound.
+    ShardImbalance,
+}
+
+impl AlertKind {
+    /// Stable display name: the `kind` label of every exported alert.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::SloBurnRate => "slo_burn_rate",
+            Self::CacheHitCollapse => "cache_hit_collapse",
+            Self::QueueGrowth => "queue_growth",
+            Self::ShardImbalance => "shard_imbalance",
+        }
+    }
+}
+
+/// One fired detector, as the snapshot's exporters, dashboard and gate
+/// read it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Alert {
     /// Which detector fired.
@@ -76,20 +100,6 @@ pub struct Alert {
     pub value: f64,
     /// Threshold it crossed.
     pub threshold: f64,
-}
-
-impl Alert {
-    /// The equivalent trace event, for forwarding to a sink.
-    pub fn to_event(&self) -> TraceEvent {
-        TraceEvent::Alert {
-            kind: self.kind,
-            tenant: self.tenant,
-            window: self.window,
-            ts_ms: self.ts_ms,
-            value: self.value,
-            threshold: self.threshold,
-        }
-    }
 }
 
 /// Parse the tenant id out of a canonical `tenant="N"` label set.
@@ -299,22 +309,10 @@ mod tests {
     }
 
     #[test]
-    fn alerts_convert_to_events() {
-        let a = Alert {
-            kind: AlertKind::SloBurnRate,
-            tenant: 2,
-            window: 4,
-            ts_ms: 50.0,
-            value: 3.0,
-            threshold: 2.0,
-        };
-        match a.to_event() {
-            TraceEvent::Alert { kind, tenant, window, .. } => {
-                assert_eq!(kind, AlertKind::SloBurnRate);
-                assert_eq!(tenant, 2);
-                assert_eq!(window, 4);
-            }
-            ev => panic!("unexpected {ev:?}"),
-        }
+    fn alert_names_are_stable() {
+        assert_eq!(AlertKind::SloBurnRate.name(), "slo_burn_rate");
+        assert_eq!(AlertKind::CacheHitCollapse.name(), "cache_hit_collapse");
+        assert_eq!(AlertKind::QueueGrowth.name(), "queue_growth");
+        assert_eq!(AlertKind::ShardImbalance.name(), "shard_imbalance");
     }
 }

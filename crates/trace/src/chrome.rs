@@ -289,31 +289,6 @@ fn render(ev: &TraceEvent) -> Option<String> {
                     &args(&[("tenant", f64::from(tenant)), ("latency_ms", latency_ms)]),
                 );
         }
-        TraceEvent::Alert {
-            kind,
-            tenant,
-            window,
-            ts_ms,
-            value,
-            threshold,
-        } => {
-            o.str_field("name", kind.name())
-                .str_field("cat", "alert")
-                .str_field("ph", "i")
-                .str_field("s", "g")
-                .num_field("ts", ts_ms * MS_TO_US)
-                .num_field("dur", 0.0)
-                .num_field("pid", f64::from(RUNTIME_PID))
-                .num_field("tid", f64::from(tenant))
-                .raw_field(
-                    "args",
-                    &args(&[
-                        ("window", window as f64),
-                        ("value", value),
-                        ("threshold", threshold),
-                    ]),
-                );
-        }
         TraceEvent::Warp { .. } => return None,
     }
     Some(o.finish())

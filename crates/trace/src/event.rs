@@ -184,32 +184,6 @@ impl TenantOutcome {
     }
 }
 
-/// SLO alert categories raised by the telemetry engine's detectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlertKind {
-    /// A tenant's windowed deadline-miss rate burned its error budget
-    /// faster than the policy allows.
-    SloBurnRate,
-    /// The plan-cache hit rate collapsed below the policy floor.
-    CacheHitCollapse,
-    /// The in-flight queue's window peak grew past the policy bound.
-    QueueGrowth,
-    /// Routed load skewed across shards beyond the policy bound.
-    ShardImbalance,
-}
-
-impl AlertKind {
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::SloBurnRate => "slo_burn_rate",
-            Self::CacheHitCollapse => "cache_hit_collapse",
-            Self::QueueGrowth => "queue_growth",
-            Self::ShardImbalance => "shard_imbalance",
-        }
-    }
-}
-
 /// One structured trace record.
 ///
 /// Span events carry `[start_ms, end_ms]` on the simulated clock;
@@ -358,23 +332,6 @@ pub enum TraceEvent {
         /// How the request ended.
         outcome: TenantOutcome,
     },
-    /// A typed SLO alert raised by a telemetry detector over one
-    /// complete window.
-    Alert {
-        /// Which detector fired.
-        kind: AlertKind,
-        /// Tenant the alert is scoped to ([`u32::MAX`] for
-        /// system-wide detectors).
-        tenant: u32,
-        /// Index of the simulated-time window the detector evaluated.
-        window: u64,
-        /// Window end on the simulated clock.
-        ts_ms: f64,
-        /// The observed value (burn rate, hit rate, queue peak, skew).
-        value: f64,
-        /// The policy threshold the value crossed.
-        threshold: f64,
-    },
     /// An injected fault fired on a device.
     Fault {
         /// Device the fault hit.
@@ -423,9 +380,5 @@ mod tests {
         assert_eq!(TenantOutcome::Rejected.name(), "rejected");
         assert_eq!(TenantOutcome::DeadlineMiss.name(), "deadline_miss");
         assert_eq!(TenantOutcome::Failed.name(), "failed");
-        assert_eq!(AlertKind::SloBurnRate.name(), "slo_burn_rate");
-        assert_eq!(AlertKind::CacheHitCollapse.name(), "cache_hit_collapse");
-        assert_eq!(AlertKind::QueueGrowth.name(), "queue_growth");
-        assert_eq!(AlertKind::ShardImbalance.name(), "shard_imbalance");
     }
 }

@@ -1,4 +1,6 @@
-//! The windowed histogram: log-bucketed over exact power-of-two edges.
+//! The one histogram type: log-bucketed over exact power-of-two edges.
+//! The recorder folds whole-run idle-lane and block-duration samples
+//! into it; the telemetry registry keeps one per series and window.
 //!
 //! Buckets are keyed by `floor(log2(v))`, computed from the sample's
 //! IEEE-754 *bit pattern* rather than `f64::log2`, so boundary values
@@ -41,7 +43,7 @@ fn upper_edge(bucket: i32) -> f64 {
     }
 }
 
-/// A log-bucketed histogram of one window's samples.
+/// A log-bucketed histogram of one sample stream.
 ///
 /// Tracks exact `count`/`sum`/`min`/`max` alongside the buckets, so the
 /// mean is exact and only quantiles are bucket-resolution estimates.

@@ -16,7 +16,7 @@
 //!   to uninstrumented code.
 //! * **Recorder** ([`Recorder`]) — the standard sink: a bounded ring
 //!   buffer of timeline events plus on-arrival aggregation of per-warp
-//!   divergence/idle-lane histograms, a block-duration histogram, and a
+//!   idle lanes and block durations into [`LogHistogram`]s, and a
 //!   top-N long-pole-block table.
 //! * **Exporters** ([`chrome::to_chrome_json`], [`summary::render`]) —
 //!   Chrome Trace Event Format JSON (open `results/trace_*.json` in
@@ -30,6 +30,7 @@
 
 pub mod chrome;
 pub mod event;
+pub mod hist;
 pub mod json;
 pub mod label;
 pub mod recorder;
@@ -38,8 +39,9 @@ pub mod summary;
 
 pub use chrome::{to_chrome_json, RUNTIME_PID, STREAM_TID_BASE};
 pub use event::{
-    AlertKind, CounterKind, FaultKind, KernelId, RequestPhase, ShardPhase, TenantOutcome,
-    TraceEvent, TunePhase,
+    CounterKind, FaultKind, KernelId, RequestPhase, ShardPhase, TenantOutcome, TraceEvent,
+    TunePhase,
 };
-pub use recorder::{Histogram, LongPole, Recorder, TraceData};
+pub use hist::LogHistogram;
+pub use recorder::{LongPole, Recorder, TraceData};
 pub use sink::{Fanout, NullSink, TraceSink};

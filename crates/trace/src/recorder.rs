@@ -4,87 +4,18 @@
 //! land in a bounded ring buffer — when full, the *oldest* events are
 //! dropped and counted, so a long run degrades gracefully into "the
 //! recent window" instead of unbounded memory. High-volume
-//! per-warp statistics are folded into histograms on arrival and never
-//! buffered individually; block spans additionally feed a block-duration
-//! histogram and a bounded top-N "long pole" table, which is the
-//! profiler's answer to "which block was the critical path?".
+//! per-warp statistics are folded into an idle-lane [`LogHistogram`] on
+//! arrival and never buffered individually; block spans additionally
+//! feed a block-duration [`LogHistogram`] and a bounded top-N "long
+//! pole" table, which is the profiler's answer to "which block was the
+//! critical path?".
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::event::{KernelId, TraceEvent};
+use crate::hist::LogHistogram;
 use crate::sink::TraceSink;
-
-/// A fixed-bin histogram over `f64` samples.
-///
-/// Bins are defined by their upper edges; samples above the last edge
-/// land in a final overflow bin. Linear and logarithmic constructors
-/// cover the two uses here (lane-activity fractions and block
-/// durations).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Upper edge of each regular bin, ascending.
-    pub edges: Vec<f64>,
-    /// Counts per bin; `counts.len() == edges.len() + 1` (overflow last).
-    pub counts: Vec<u64>,
-    /// Total samples recorded.
-    pub total: u64,
-    /// Sum of all samples (for the mean).
-    pub sum: f64,
-    /// Largest sample seen (0 when empty).
-    pub max: f64,
-}
-
-impl Histogram {
-    /// `bins` equal-width bins spanning `[lo, hi]`.
-    pub fn linear(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins >= 1 && hi > lo, "degenerate histogram");
-        let w = (hi - lo) / bins as f64;
-        Self::from_edges((1..=bins).map(|i| lo + w * i as f64).collect())
-    }
-
-    /// `bins` log-spaced bins spanning `[lo, hi]` (both positive).
-    pub fn log(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins >= 1 && hi > lo && lo > 0.0, "degenerate histogram");
-        let r = (hi / lo).powf(1.0 / bins as f64);
-        Self::from_edges((1..=bins).map(|i| lo * r.powi(i as i32)).collect())
-    }
-
-    fn from_edges(edges: Vec<f64>) -> Self {
-        let n = edges.len();
-        Self {
-            edges,
-            counts: vec![0; n + 1],
-            total: 0,
-            sum: 0.0,
-            max: 0.0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, v: f64) {
-        let bin = self
-            .edges
-            .iter()
-            .position(|&e| v <= e)
-            .unwrap_or(self.edges.len());
-        self.counts[bin] += 1;
-        self.total += 1;
-        self.sum += v;
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-}
 
 /// One of the longest-running blocks seen so far.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,20 +39,14 @@ pub struct TraceData {
     pub events: Vec<TraceEvent>,
     /// Timeline events dropped because the ring was full.
     pub dropped: u64,
-    /// Per-warp lane-activity fractions (1.0 = no divergence).
-    pub divergence: Histogram,
-    /// Per-warp idle-lane equivalents (`warp_size × (1 − activity)`),
-    /// in units of lanes assuming 32-lane warps.
-    pub idle_lanes: Histogram,
-    /// Block busy durations (ms) — the tail of this distribution is the
-    /// launch's load imbalance.
-    pub block_durations: Histogram,
+    /// Per-warp idle-lane equivalents (`32 × (1 − activity)`, in units
+    /// of lanes assuming 32-lane warps), one sample per warp record.
+    pub idle_lanes: LogHistogram,
+    /// Block busy durations (ms), one sample per block record — the
+    /// tail of this distribution is the launch's load imbalance.
+    pub block_durations: LogHistogram,
     /// The longest blocks, sorted by descending duration.
     pub long_poles: Vec<LongPole>,
-    /// Warp records folded into the histograms.
-    pub warps: u64,
-    /// Block records seen.
-    pub blocks: u64,
 }
 
 impl TraceData {
@@ -152,12 +77,9 @@ pub const LONG_POLE_CAPACITY: usize = 32;
 struct Inner {
     events: VecDeque<TraceEvent>,
     dropped: u64,
-    divergence: Histogram,
-    idle_lanes: Histogram,
-    block_durations: Histogram,
+    idle_lanes: LogHistogram,
+    block_durations: LogHistogram,
     long_poles: Vec<LongPole>,
-    warps: u64,
-    blocks: u64,
 }
 
 /// The standard sink: ring buffer + histograms + long-pole table.
@@ -190,12 +112,9 @@ impl Recorder {
             inner: Mutex::new(Inner {
                 events: VecDeque::new(),
                 dropped: 0,
-                divergence: Histogram::linear(0.0, 1.0, 10),
-                idle_lanes: Histogram::linear(0.0, 32.0, 16),
-                block_durations: Histogram::log(1e-7, 1e2, 27),
+                idle_lanes: LogHistogram::new(),
+                block_durations: LogHistogram::new(),
                 long_poles: Vec::new(),
-                warps: 0,
-                blocks: 0,
             }),
         }
     }
@@ -206,12 +125,9 @@ impl Recorder {
         TraceData {
             events: inner.events.iter().copied().collect(),
             dropped: inner.dropped,
-            divergence: inner.divergence.clone(),
             idle_lanes: inner.idle_lanes.clone(),
             block_durations: inner.block_durations.clone(),
             long_poles: inner.long_poles.clone(),
-            warps: inner.warps,
-            blocks: inner.blocks,
         }
     }
 
@@ -230,16 +146,11 @@ impl TraceSink for Recorder {
     fn event(&self, ev: &TraceEvent) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
         match *ev {
-            TraceEvent::Warp {
-                units, active_frac, ..
-            } => {
+            TraceEvent::Warp { active_frac, .. } => {
                 // Aggregated only: high-volume, no timeline position.
-                let _ = units;
-                inner.divergence.record(active_frac.clamp(0.0, 1.0));
                 inner
                     .idle_lanes
                     .record(32.0 * (1.0 - active_frac.clamp(0.0, 1.0)));
-                inner.warps += 1;
                 return;
             }
             TraceEvent::Block {
@@ -252,7 +163,6 @@ impl TraceSink for Recorder {
             } => {
                 let dur = (end_ms - start_ms).max(0.0);
                 inner.block_durations.record(dur);
-                inner.blocks += 1;
                 let worst = inner.long_poles.last().map_or(0.0, |p| p.dur_ms);
                 if inner.long_poles.len() < LONG_POLE_CAPACITY || dur > worst {
                     inner.long_poles.push(LongPole {
@@ -295,32 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::linear(0.0, 1.0, 4);
-        for v in [0.1, 0.3, 0.9, 5.0] {
-            h.record(v);
-        }
-        assert_eq!(h.total, 4);
-        assert_eq!(h.counts[0], 1); // 0.1 ≤ 0.25
-        assert_eq!(h.counts[1], 1); // 0.3 ≤ 0.5
-        assert_eq!(h.counts[3], 1); // 0.9 ≤ 1.0
-        assert_eq!(*h.counts.last().unwrap(), 1); // 5.0 overflows
-        assert_eq!(h.max, 5.0);
-        assert!((h.mean() - (0.1 + 0.3 + 0.9 + 5.0) / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_histogram_spans_decades() {
-        let mut h = Histogram::log(1e-3, 1e3, 6);
-        h.record(1e-3);
-        h.record(1.0);
-        h.record(999.0);
-        assert_eq!(h.total, 3);
-        assert_eq!(h.counts.iter().sum::<u64>(), 3);
-        assert_eq!(*h.counts.last().unwrap(), 0, "999 fits under the top edge");
-    }
-
-    #[test]
     fn ring_drops_oldest_and_counts() {
         let r = Recorder::with_capacity(2);
         for i in 0..4u64 {
@@ -351,9 +235,8 @@ mod tests {
         });
         let d = r.snapshot();
         assert!(d.events.is_empty());
-        assert_eq!(d.warps, 1);
-        assert_eq!(d.divergence.total, 1);
-        assert!((d.idle_lanes.sum - 24.0).abs() < 1e-12);
+        assert_eq!(d.idle_lanes.count, 1);
+        assert_eq!(d.idle_lanes.sum, 24.0);
     }
 
     #[test]
@@ -363,13 +246,13 @@ mod tests {
             r.event(&block(7, i, f64::from(i)));
         }
         let d = r.snapshot();
-        assert_eq!(d.blocks, 100);
         assert_eq!(d.long_poles.len(), LONG_POLE_CAPACITY);
         assert_eq!(d.long_poles[0].dur_ms, 99.0);
         assert!(d
             .long_poles
             .windows(2)
             .all(|w| w[0].dur_ms >= w[1].dur_ms));
-        assert_eq!(d.block_durations.total, 100);
+        assert_eq!(d.block_durations.count, 100);
+        assert_eq!(d.block_durations.max, 99.0);
     }
 }

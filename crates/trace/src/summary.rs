@@ -1,12 +1,13 @@
-//! Plain-text profile rendering: a kernel table, divergence / idle-lane
-//! / block-duration histograms as ASCII bars, and the top-N
-//! long-pole-block report — the terminal-friendly view of the same data
-//! the Chrome exporter ships to Perfetto.
+//! Plain-text profile rendering: a kernel table, the idle-lane and
+//! block-duration histograms as ASCII bars over their log₂ buckets, and
+//! the top-N long-pole-block report — the terminal-friendly view of the
+//! same data the Chrome exporter ships to Perfetto.
 
 use std::collections::BTreeMap;
 
 use crate::event::{ShardPhase, TraceEvent, TunePhase};
-use crate::recorder::{Histogram, TraceData};
+use crate::hist::{LogHistogram, ZERO_BUCKET};
+use crate::recorder::TraceData;
 
 fn bar(count: u64, max: u64, width: usize) -> String {
     if max == 0 {
@@ -16,28 +17,25 @@ fn bar(count: u64, max: u64, width: usize) -> String {
     "#".repeat(n.min(width))
 }
 
-fn histogram_block(out: &mut String, title: &str, h: &Histogram, unit: &str) {
+fn histogram_block(out: &mut String, title: &str, h: &LogHistogram, unit: &str) {
     out.push_str(&format!(
         "\n{title}: {} samples, mean {:.4}{unit}, max {:.4}{unit}\n",
-        h.total,
+        h.count,
         h.mean(),
         h.max
     ));
-    if h.total == 0 {
+    if h.count == 0 {
         out.push_str("  (empty)\n");
         return;
     }
-    let peak = h.counts.iter().copied().max().unwrap_or(0);
-    let mut lo = 0.0;
-    for (i, &c) in h.counts.iter().enumerate() {
-        let label = match h.edges.get(i) {
-            Some(&hi) => format!("{lo:>10.4} – {hi:<10.4}"),
-            None => format!("{:>10.4} – {:<10}", h.edges.last().copied().unwrap_or(0.0), "inf"),
+    let peak = h.buckets.values().copied().max().unwrap_or(0);
+    for (&k, &c) in &h.buckets {
+        let label = if k == ZERO_BUCKET {
+            String::from("0")
+        } else {
+            format!("[2^{k}, 2^{})", k + 1)
         };
-        if c > 0 {
-            out.push_str(&format!("  {label} {c:>8} |{}\n", bar(c, peak, 40)));
-        }
-        lo = h.edges.get(i).copied().unwrap_or(lo);
+        out.push_str(&format!("  {label:<18} {c:>8} |{}\n", bar(c, peak, 40)));
     }
 }
 
@@ -50,8 +48,8 @@ pub fn render(data: &TraceData) -> String {
     out.push_str(&format!(
         "== trace summary: {} kernels, {} blocks, {} warps, {} buffered events ({} dropped) ==\n",
         kernels.len(),
-        data.blocks,
-        data.warps,
+        data.block_durations.count,
+        data.idle_lanes.count,
         data.events.len(),
         data.dropped
     ));
@@ -79,12 +77,6 @@ pub fn render(data: &TraceData) -> String {
         }
     }
 
-    histogram_block(
-        &mut out,
-        "warp lane activity (1.0 = no divergence)",
-        &data.divergence,
-        "",
-    );
     histogram_block(&mut out, "idle-lane equivalents per warp", &data.idle_lanes, " lanes");
     histogram_block(&mut out, "block busy durations", &data.block_durations, " ms");
 
@@ -109,7 +101,6 @@ pub fn render(data: &TraceData) -> String {
     render_tune(&mut out, data);
     render_shards(&mut out, data);
     render_faults(&mut out, data);
-    render_alerts(&mut out, data);
     out
 }
 
@@ -218,40 +209,6 @@ fn render_faults(out: &mut String, data: &TraceData) {
     }
 }
 
-/// SLO alerts raised by the telemetry layer, in emission order.
-fn render_alerts(out: &mut String, data: &TraceData) {
-    let alerts: Vec<&TraceEvent> = data
-        .events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::Alert { .. }))
-        .collect();
-    if alerts.is_empty() {
-        return;
-    }
-    out.push_str(&format!("\nSLO alerts ({}):\n", alerts.len()));
-    for ev in alerts {
-        if let TraceEvent::Alert {
-            kind,
-            tenant,
-            window,
-            value,
-            threshold,
-            ..
-        } = ev
-        {
-            let scope = if *tenant == u32::MAX {
-                String::from("system")
-            } else {
-                format!("tenant {tenant}")
-            };
-            out.push_str(&format!(
-                "  window {window:>4} {scope:<10} {:<18} value {value:.4} vs threshold {threshold:.4}\n",
-                kind.name()
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,8 +250,10 @@ mod tests {
         let text = render(&r.snapshot());
         assert!(text.contains("spmv/merge-path"));
         assert!(text.contains("long-pole blocks"));
-        assert!(text.contains("warp lane activity"));
-        assert!(text.contains("block busy durations"));
+        assert!(text.contains("idle-lane equivalents per warp: 4 samples"));
+        // Every warp idles 16 of 32 lanes: one log₂ bucket, [16, 32).
+        assert!(text.contains("[2^4, 2^5)"));
+        assert!(text.contains("block busy durations: 4 samples"));
     }
 
     #[test]
@@ -304,7 +263,6 @@ mod tests {
         assert!(text.contains("0 kernels"));
         assert!(!text.contains("autotuner activity"));
         assert!(!text.contains("shard activity"));
-        assert!(!text.contains("SLO alerts"));
     }
 
     #[test]
@@ -353,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn renders_fault_and_alert_events() {
+    fn renders_fault_events() {
         let r = Recorder::new();
         r.event(&TraceEvent::Fault {
             device: 2,
@@ -361,28 +319,8 @@ mod tests {
             ts_ms: 1.0,
             value: 2.0,
         });
-        r.event(&TraceEvent::Alert {
-            kind: crate::event::AlertKind::QueueGrowth,
-            tenant: u32::MAX,
-            window: 3,
-            ts_ms: 40.0,
-            value: 12.0,
-            threshold: 4.0,
-        });
-        r.event(&TraceEvent::Alert {
-            kind: crate::event::AlertKind::SloBurnRate,
-            tenant: 7,
-            window: 3,
-            ts_ms: 40.0,
-            value: 2.5,
-            threshold: 1.0,
-        });
         let text = render(&r.snapshot());
         assert!(text.contains("injected faults"));
-        assert!(text.contains("stall"));
-        assert!(text.contains("SLO alerts (2)"));
-        assert!(text.contains("system"));
-        assert!(text.contains("tenant 7"));
-        assert!(text.contains("slo_burn_rate"));
+        assert!(text.contains("device 2: stall ×1"));
     }
 }

@@ -48,6 +48,9 @@ fn graph_corpus() -> Vec<Graph> {
         Graph::from_generator(sparse::gen::powerlaw(300, 300, 4_000, 1.8, 15)),
         Graph::from_generator(sparse::gen::rmat(8, 8, (0.57, 0.19, 0.19), 16)),
         Graph::from_generator(sparse::gen::banded(120, 4, 17)),
+        // The f32 sum of a uniform 1/1000 start misses 1 by more than
+        // 1e-6, so this graph checks that both paths normalize it alike.
+        Graph::from_generator(sparse::gen::uniform(1_000, 1_000, 8_000, 18)),
     ]
 }
 
@@ -121,6 +124,42 @@ fn sharded_serving_completions_match_the_single_shard_group() {
             );
         }
     }
+}
+
+#[test]
+fn split_serving_repartitions_a_matrix_mutated_in_place() {
+    let mut a = Arc::new(sparse::gen::uniform(600, 500, 8_000, 11));
+    let x: Arc<[f32]> = sparse::dense::test_vector(a.cols()).into();
+    let request = |a: &Arc<Csr<f32>>, id| Request {
+        id,
+        tenant: 0,
+        matrix: Arc::clone(a),
+        x: Arc::clone(&x),
+        arrival_ms: 0.0,
+    };
+    let group = || {
+        let mut cfg = ShardGroupConfig::new(2);
+        cfg.runtime.keep_results = true;
+        ShardGroup::new(GpuSpec::v100(), cfg)
+    };
+    let mut grp = group();
+    grp.serve_split(&[request(&a, 0)]).unwrap();
+
+    // The group holds no reference to `a`, so this doubles the values in
+    // place: same address, new value epoch.
+    let address = Arc::as_ptr(&a);
+    for v in Arc::make_mut(&mut a).values_mut() {
+        *v *= 2.0;
+    }
+    assert_eq!(Arc::as_ptr(&a), address, "the mutation must stay in place");
+
+    let got = grp.serve_split(&[request(&a, 1)]).unwrap();
+    let want = group().serve_split(&[request(&a, 1)]).unwrap();
+    assert_eq!(
+        bits(got.completions[0].y.as_ref().unwrap()),
+        bits(want.completions[0].y.as_ref().unwrap()),
+        "split serving answered from the pre-mutation partition"
+    );
 }
 
 #[test]

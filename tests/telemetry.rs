@@ -133,7 +133,7 @@ fn slo_engine_fires_under_deadline_pressure() {
     assert!(
         snap.alerts
             .iter()
-            .any(|a| a.kind == trace::AlertKind::SloBurnRate),
+            .any(|a| a.kind == telemetry::AlertKind::SloBurnRate),
         "sustained deadline misses must fire burn-rate alerts, got {:?}",
         snap.alerts
     );

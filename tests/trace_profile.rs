@@ -155,6 +155,6 @@ fn traced_launch_report_exactly_equals_untraced() {
     // And the trace actually recorded the launch.
     let data = rec.snapshot();
     assert_eq!(data.kernels().count(), 1);
-    assert_eq!(data.blocks, 96);
-    assert!(data.divergence.total > 0, "warp stats were collected");
+    assert_eq!(data.block_durations.count, 96);
+    assert!(data.idle_lanes.count > 0, "warp stats were collected");
 }
