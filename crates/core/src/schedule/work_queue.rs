@@ -30,7 +30,13 @@
 //! block ([`WorkQueueSchedule::claiming_threads`]), and the dispatch
 //! engine simulates only that prefix lane by lane. The idle rest pay the
 //! thread prologue through [`simt::BlockCtx::for_each_active_thread`],
-//! which gives the same bits as running them.
+//! which gives the same bits as running them. Whole blocks go the same
+//! way: with fewer chunks than blocks, the blocks from index `chunks` on
+//! get no first claim at all, so every one of them touches no memory and
+//! costs what the first of them costs. [`WorkQueueSchedule::launch_config`]
+//! declares them an idle tail ([`simt::LaunchConfig::with_idle_tail`]),
+//! and the launch runs only the first and charges the rest as its
+//! repeats, again with the same bits as running them.
 
 use crate::ranges::{step_range, Charged, StepRange};
 use crate::work::TileSet;
@@ -56,12 +62,21 @@ impl<'w, W: TileSet> WorkQueueSchedule<'w, W> {
     }
 
     /// A launch sized like a persistent kernel: enough blocks to fill
-    /// every SM at full occupancy, independent of the problem size.
+    /// every SM at full occupancy, independent of the problem size. The
+    /// blocks past the first `min(chunks, grid)` get no first claim and
+    /// are declared the launch's idle tail.
     pub fn launch_config(&self, spec: &simt::GpuSpec, block_dim: u32) -> LaunchConfig {
         let occ = simt::Occupancy::compute(spec, block_dim, 0)
             .map(|o| o.blocks_per_sm)
             .unwrap_or(1);
-        LaunchConfig::new(spec.num_sms * occ, block_dim)
+        let grid = spec.num_sms * occ;
+        let busy = self.chunks().min(grid as usize) as u32;
+        LaunchConfig::new(grid, block_dim).with_idle_tail(busy)
+    }
+
+    /// Chunks in the queue: `⌈tiles / chunk⌉`.
+    fn chunks(&self) -> usize {
+        self.work.num_tiles().div_ceil(self.chunk)
     }
 
     /// How many threads of block `block_idx` get a first claim, in a
@@ -74,8 +89,7 @@ impl<'w, W: TileSet> WorkQueueSchedule<'w, W> {
     ///
     /// If `grid_dim` is zero (no launch has an empty grid).
     pub fn claiming_threads(&self, block_idx: u32, grid_dim: u32, block_dim: u32) -> u32 {
-        let chunks = self.work.num_tiles().div_ceil(self.chunk);
-        let from_this_block = chunks.saturating_sub(block_idx as usize);
+        let from_this_block = self.chunks().saturating_sub(block_idx as usize);
         let claiming = from_this_block.div_ceil(grid_dim as usize);
         claiming.min(block_dim as usize) as u32
     }
@@ -175,6 +189,11 @@ mod tests {
         let cfg = sched.launch_config(&spec, 256);
         // 80 SMs × 8 blocks of 256 threads — not a million threads.
         assert_eq!(cfg.grid_dim, 80 * 8);
+        assert_eq!(cfg.busy_blocks, 80 * 8, "31,250 chunks: every block claims");
+        // 100 tiles in chunks of 32 make 4 chunks: blocks 4.. are idle.
+        let small = CountedTiles::from_counts(vec![1; 100]);
+        let cfg = WorkQueueSchedule::new(&small, 32).launch_config(&spec, 256);
+        assert_eq!((cfg.grid_dim, cfg.busy_blocks), (80 * 8, 4));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct BlockCtx<'a> {
     spec: &'a GpuSpec,
     model: &'a CostModel,
     warp_costs: Vec<f64>,
-    warp_active: Vec<f64>,
+    warp_idle: Vec<f64>,
     counters: MemCounters,
     shared: SharedTracker,
     prologue_charged: bool,
@@ -40,14 +40,18 @@ pub struct BlockCtx<'a> {
 pub struct BlockCost {
     /// Work units accumulated by each warp of the block.
     pub warp_costs: Vec<f64>,
-    /// Sum of per-lane units per warp — the divergence profile behind
-    /// `warp_costs` (a warp's cost is its *maximum* lane; this is the
-    /// lane *total*, so `active / (warp_size × cost)` is the warp's mean
-    /// lane activity). Collected only when the launch is traced
-    /// (empty otherwise, so untraced launches allocate nothing extra);
-    /// group phases record their barrier-aligned cost, i.e. no
-    /// intra-group divergence is attributed.
-    pub warp_active: Vec<f64>,
+    /// Idle lane time per warp, in work units — the divergence profile
+    /// behind `warp_costs`. In every per-thread phase each of the warp's
+    /// `warp_size` lanes adds how far its units fall short of the warp's
+    /// maximum (a lane past the end of a partial warp adds the whole
+    /// maximum), and a [`BlockCtx::sync`] adds the wait of all
+    /// `warp_size` lanes. `idle / cost` is the warp's idle-lane
+    /// equivalents, exactly 0 when every lane ran the warp's full cost.
+    /// Collected only when the launch is traced (empty otherwise, so
+    /// untraced launches allocate nothing extra); group phases are
+    /// barrier-aligned and add nothing, i.e. no intra-group divergence
+    /// is attributed.
+    pub warp_idle: Vec<f64>,
     /// Memory traffic and atomic counts.
     pub mem: MemSummary,
 }
@@ -77,8 +81,8 @@ impl<'a> BlockCtx<'a> {
         Self::with_stats(block_idx, block_dim, grid_dim, shared_declared, spec, model, false)
     }
 
-    /// `stats` additionally collects per-warp lane-activity totals for
-    /// tracing; off, the block allocates and computes nothing extra.
+    /// `stats` additionally collects per-warp idle lane time for tracing;
+    /// off, the block allocates and computes nothing extra.
     pub(crate) fn with_stats(
         block_idx: u32,
         block_dim: u32,
@@ -96,7 +100,7 @@ impl<'a> BlockCtx<'a> {
             spec,
             model,
             warp_costs: vec![0.0; num_warps],
-            warp_active: if stats { vec![0.0; num_warps] } else { Vec::new() },
+            warp_idle: if stats { vec![0.0; num_warps] } else { Vec::new() },
             counters: MemCounters::new(),
             shared: SharedTracker::new(shared_declared),
             prologue_charged: false,
@@ -170,8 +174,8 @@ impl<'a> BlockCtx<'a> {
     /// returning at once on the idle threads. An idle lane's units read
     /// `0.0 + prologue`, so its warp takes that into its running maximum
     /// once (a maximum does not change when a value repeats), and a traced
-    /// block adds it to `warp_active` once per idle thread, in thread
-    /// order, exactly as the lanes would have.
+    /// block still takes each idle thread's step of idle lane time, in
+    /// thread order, exactly as the lanes would have.
     pub fn for_each_active_thread(&mut self, active: u32, mut f: impl FnMut(&LaneCtx<'_>)) {
         let warp_size = self.spec.warp_size;
         let prologue = if self.prologue_charged {
@@ -189,6 +193,7 @@ impl<'a> BlockCtx<'a> {
             let end = (first + warp_size).min(self.block_dim);
             let busy_end = active.clamp(first, end);
             let mut warp_max = 0.0f64;
+            let mut idle = 0.0f64; // traced: this phase's idle lane time
             for t in first..busy_end {
                 let lane = LaneCtx::new(
                     t,
@@ -203,18 +208,23 @@ impl<'a> BlockCtx<'a> {
                 );
                 lane.charge(prologue);
                 f(&lane);
-                warp_max = warp_max.max(lane.units());
                 if self.stats {
-                    self.warp_active[w] += lane.units();
+                    idle += idle_step(warp_max, lane.units(), t - first);
                 }
+                warp_max = warp_max.max(lane.units());
             }
             if busy_end < end {
-                warp_max = warp_max.max(idle_units);
                 if self.stats {
-                    for _ in busy_end..end {
-                        self.warp_active[w] += idle_units;
+                    for t in busy_end..end {
+                        idle += idle_step(warp_max, idle_units, t - first);
+                        warp_max = warp_max.max(idle_units);
                     }
                 }
+                warp_max = warp_max.max(idle_units);
+            }
+            if self.stats {
+                // Lanes past the end of a partial warp idle throughout.
+                self.warp_idle[w] += idle + f64::from(warp_size - (end - first)) * warp_max;
             }
             *cost += warp_max;
         }
@@ -260,11 +270,6 @@ impl<'a> BlockCtx<'a> {
                 let first_warp = (g as usize) * warps_per_group;
                 for w in first_warp..first_warp + warps_per_group {
                     self.warp_costs[w] += total;
-                    if self.stats {
-                        // Group phases are barrier-aligned: charge the full
-                        // warp as active so no divergence is attributed.
-                        self.warp_active[w] += total * f64::from(warp_size);
-                    }
                 }
             }
         } else {
@@ -295,11 +300,7 @@ impl<'a> BlockCtx<'a> {
                 }
             }
             for (w, phases) in warp_phase.into_iter().enumerate() {
-                let total = phases.iter().sum::<f64>();
-                self.warp_costs[w] += total;
-                if self.stats {
-                    self.warp_active[w] += total * f64::from(warp_size);
-                }
+                self.warp_costs[w] += phases.iter().sum::<f64>();
             }
         }
     }
@@ -307,7 +308,11 @@ impl<'a> BlockCtx<'a> {
     /// `__syncthreads`: aligns every warp of the block to the slowest one.
     pub fn sync(&mut self) {
         let max = self.warp_costs.iter().copied().fold(0.0, f64::max);
-        for c in &mut self.warp_costs {
+        let warp_size = f64::from(self.spec.warp_size);
+        for (w, c) in self.warp_costs.iter_mut().enumerate() {
+            if self.stats {
+                self.warp_idle[w] += warp_size * (max - *c);
+            }
             *c = max;
         }
     }
@@ -327,9 +332,23 @@ impl<'a> BlockCtx<'a> {
         }
         Ok(BlockCost {
             warp_costs: self.warp_costs,
-            warp_active: self.warp_active,
+            warp_idle: self.warp_idle,
             mem: self.counters.snapshot(),
         })
+    }
+}
+
+/// The idle lane time one more lane adds to a warp phase whose `seen`
+/// earlier lanes peaked at `max`: its own shortfall from `max`, or, when
+/// its `units` set a new maximum, the rise that every earlier lane now
+/// waits out. Summed over a phase's lanes in order this is each lane's
+/// shortfall from the phase maximum, and a lane at the maximum adds
+/// exactly 0.
+fn idle_step(max: f64, units: f64, seen: u32) -> f64 {
+    if units > max {
+        f64::from(seen) * (units - max)
+    } else {
+        max - units
     }
 }
 
@@ -454,18 +473,18 @@ mod tests {
     }
 
     #[test]
-    fn stats_off_leaves_warp_active_unallocated() {
+    fn stats_off_leaves_warp_idle_unallocated() {
         let spec = GpuSpec::test_tiny();
         let model = CostModel::standard();
         let mut b = block(&spec, &model, 16);
         b.for_each_thread(|l| l.charge(1.0));
         let cost = b.finish().unwrap();
-        assert!(cost.warp_active.is_empty());
-        assert_eq!(cost.warp_active.capacity(), 0, "no hidden allocation");
+        assert!(cost.warp_idle.is_empty());
+        assert_eq!(cost.warp_idle.capacity(), 0, "no hidden allocation");
     }
 
     #[test]
-    fn stats_on_collects_lane_activity_without_changing_costs() {
+    fn stats_on_collects_idle_lane_time_without_changing_costs() {
         let spec = GpuSpec::test_tiny(); // warp = 8
         let model = CostModel::standard();
         let run = |stats: bool| {
@@ -477,17 +496,12 @@ mod tests {
         let plain = run(false);
         let traced = run(true);
         assert_eq!(plain.warp_costs, traced.warp_costs, "stats must not perturb costs");
-        let p = model.thread_prologue_cost;
-        // Lane sum: 4×(p+10) + 4×(p+1) = 8p + 44.
-        assert_eq!(traced.warp_active.len(), 1);
-        assert!((traced.warp_active[0] - (8.0 * p + 44.0)).abs() < 1e-12);
-        // Mean lane activity is well below 1.0 for this divergent phase.
-        let frac = traced.warp_active[0] / (8.0 * traced.warp_costs[0]);
-        assert!(frac < 0.8, "got {frac}");
+        // Four lanes each idle 9 units of the warp's p + 10.
+        assert_eq!(traced.warp_idle, vec![36.0]);
     }
 
     #[test]
-    fn stats_on_group_phase_reports_full_activity() {
+    fn stats_on_group_phase_reports_no_idle_lanes() {
         let spec = GpuSpec::test_tiny(); // warp = 8
         let model = CostModel::standard();
         let mut b = BlockCtx::with_stats(0, 16, 16, 4096, &spec, &model, true);
@@ -495,10 +509,47 @@ mod tests {
             g.phase_for_each(|l| l.charge(if l.group_rank() == 0 { 5.0 } else { 1.0 }));
         });
         let cost = b.finish().unwrap();
-        // Barrier-aligned: every warp fully active for its charged cost.
-        for (c, a) in cost.warp_costs.iter().zip(&cost.warp_active) {
-            assert!((a - c * 8.0).abs() < 1e-12);
+        // Barrier-aligned: no divergence is attributed.
+        assert_eq!(cost.warp_idle, vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn idle_lanes_count_against_the_device_warp_width() {
+        let spec = GpuSpec::test_tiny(); // warp = 8
+        let zero_prologue = CostModel {
+            thread_prologue_cost: 0.0,
+            ..CostModel::standard()
+        };
+        let traced = |model: &CostModel, dim: u32, f: &dyn Fn(&LaneCtx<'_>)| {
+            let mut b = BlockCtx::with_stats(0, dim, 1, 0, &spec, model, true);
+            b.for_each_thread(f);
+            b.finish().unwrap()
+        };
+        // One busy lane of eight, wherever it sits: seven idle-lane
+        // equivalents.
+        for busy in 0..8 {
+            let one = traced(&zero_prologue, 8, &|l| {
+                if l.lane_id() == busy {
+                    l.charge(2.5);
+                }
+            });
+            assert_eq!(one.warp_idle[0] / one.warp_costs[0], 7.0, "busy lane {busy}");
         }
+        // Eight lanes at 0.1 each: their f64 sum rounds to under 8 × 0.1,
+        // yet every lane ran the warp's full cost.
+        assert_ne!((0..8).map(|_| 0.1f64).sum::<f64>(), 8.0 * 0.1);
+        for model in [zero_prologue.clone(), CostModel::standard()] {
+            let full = traced(&model, 8, &|l| l.charge(0.1));
+            assert_eq!(full.warp_idle, vec![0.0]);
+        }
+        // Three lanes of an 8-wide warp: the five missing lanes idle.
+        let partial = traced(&zero_prologue, 3, &|l| l.charge(2.5));
+        assert_eq!(partial.warp_idle[0] / partial.warp_costs[0], 5.0);
+        // A barrier books every lane's wait: warp 0 waits 4 units for warp 1.
+        let mut b = BlockCtx::with_stats(0, 16, 1, 0, &spec, &zero_prologue, true);
+        b.for_each_thread(|l| l.charge(if l.warp_id() == 1 { 5.0 } else { 1.0 }));
+        b.sync();
+        assert_eq!(b.finish().unwrap().warp_idle, vec![32.0, 0.0]);
     }
 
     #[test]
@@ -533,8 +584,8 @@ mod tests {
             assert_eq!(runs, phases * active.min(13), "{label}");
             let (tail, every) = (tail.finish().unwrap(), every.finish().unwrap());
             assert_eq!(bits(&tail.warp_costs), bits(&every.warp_costs), "{label}");
-            assert_eq!(bits(&tail.warp_active), bits(&every.warp_active), "{label}");
-            assert_eq!(tail.warp_active.len(), if stats { 2 } else { 0 }, "{label}");
+            assert_eq!(bits(&tail.warp_idle), bits(&every.warp_idle), "{label}");
+            assert_eq!(tail.warp_idle.len(), if stats { 2 } else { 0 }, "{label}");
             assert_eq!(tail.mem, every.mem, "{label}");
         };
         // The standard prologue, and one whose repeated sums round.

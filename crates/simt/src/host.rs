@@ -24,10 +24,13 @@
 //!
 //! 1. **Deterministic merge.** Each block's [`BlockCost`] is a pure
 //!    function of the block index and launch-start memory; the merge
-//!    orders costs by block index, so `device_time`'s greedy dispatch
-//!    (which ties-break on iteration order — see
-//!    [`crate::scheduler::device_time_traced`]) consumes an identical
-//!    sequence.
+//!    orders costs by block index, so the greedy dispatch in
+//!    [`crate::scheduler::device_time_traced`] consumes an identical
+//!    sequence. That dispatch takes blocks in ascending index order (an
+//!    idle tail's repeats of its first idle block last, still in index
+//!    order) and puts each on the SM with the least queued load, the
+//!    lowest index on ties, so the SM each block lands on is a function
+//!    of that sequence alone.
 //! 2. **Deferred float accumulation.** IEEE-754 addition is commutative
 //!    but not associative, so concurrent `atomicAdd` on `f32`/`f64`
 //!    cells would make the final sum depend on interleaving. Under the
@@ -470,7 +473,7 @@ mod tests {
     fn cost(units: f64) -> BlockCost {
         BlockCost {
             warp_costs: vec![units],
-            warp_active: Vec::new(),
+            warp_idle: Vec::new(),
             mem: MemSummary::default(),
         }
     }

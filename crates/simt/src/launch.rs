@@ -9,6 +9,10 @@
 //! launch is fully deterministic: the parallel executor merges costs and
 //! deferred float atomics back in block order (see [`crate::host`]), so
 //! results and reports are bitwise identical at any thread count.
+//!
+//! A launch that declares an idle tail ([`LaunchConfig::with_idle_tail`])
+//! runs its busy blocks and the first idle one; the timing model charges
+//! every later block as a repeat of that idle block's cost.
 
 use crate::block::{BlockCost, BlockCtx};
 use crate::cost::CostModel;
@@ -17,7 +21,7 @@ use crate::group::GroupCtx;
 use crate::lane::LaneCtx;
 use crate::occupancy::Occupancy;
 use crate::report::LaunchReport;
-use crate::scheduler::{device_time_traced, TraceCtx};
+use crate::scheduler::{device_time_traced, grid_costs, TraceCtx};
 use crate::spec::GpuSpec;
 use trace::{KernelId, TraceEvent};
 
@@ -30,6 +34,9 @@ pub struct LaunchConfig {
     pub block_dim: u32,
     /// Dynamic shared memory declared per block, in bytes.
     pub shared_bytes: u32,
+    /// Blocks `busy_blocks..grid_dim` are idle (see
+    /// [`Self::with_idle_tail`]); `u32::MAX`, the default, declares none.
+    pub busy_blocks: u32,
 }
 
 impl LaunchConfig {
@@ -39,6 +46,7 @@ impl LaunchConfig {
             grid_dim,
             block_dim,
             shared_bytes: 0,
+            busy_blocks: u32::MAX,
         }
     }
 
@@ -52,6 +60,19 @@ impl LaunchConfig {
     /// Declare dynamic shared memory per block.
     pub fn with_shared(mut self, bytes: u32) -> Self {
         self.shared_bytes = bytes;
+        self
+    }
+
+    /// Declare every block from index `busy` on idle. The kernel promises
+    /// that those blocks touch no memory and that each would end exactly
+    /// as the first of them does, with the same cost or the same error,
+    /// as a persistent kernel's blocks do when the work runs out before
+    /// their first claim. The launch then runs block `busy` (the first
+    /// idle one) and charges each later block as a repeat of its cost:
+    /// the report, the traced events and any launch error are bitwise
+    /// those of running every block.
+    pub fn with_idle_tail(mut self, busy: u32) -> Self {
+        self.busy_blocks = busy;
         self
     }
 
@@ -104,14 +125,14 @@ pub fn launch_with_model<K: BlockKernel>(
     let blocks = run_blocks(spec, model, &cfg, kernel, scoped_sink.is_some())?;
     let host_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let timing = match &scoped_sink {
-        None => device_time_traced(spec, model, &blocks, &occ, None),
+        None => device_time_traced(spec, model, &blocks, cfg.grid_dim, &occ, None),
         Some((sink, label)) => {
             let ctx = TraceCtx {
                 sink: sink.as_ref(),
                 kernel: KernelId::next(),
                 device: 0,
             };
-            let timing = device_time_traced(spec, model, &blocks, &occ, Some(&ctx));
+            let timing = device_time_traced(spec, model, &blocks, cfg.grid_dim, &occ, Some(&ctx));
             sink.event(&TraceEvent::Kernel {
                 id: ctx.kernel,
                 name: label,
@@ -125,8 +146,7 @@ pub fn launch_with_model<K: BlockKernel>(
             timing
         }
     };
-    let mem = blocks
-        .iter()
+    let mem = grid_costs(&blocks, cfg.grid_dim)
         .fold(crate::cost::MemSummary::default(), |acc, b| {
             acc.merged(b.mem)
         });
@@ -203,10 +223,13 @@ where
     })
 }
 
-/// Execute all blocks on the active [host backend](crate::host).
+/// Execute the grid's blocks up to and including the first idle one on
+/// the active [host backend](crate::host), returning their costs in
+/// block order; [`grid_costs`] charges every later block as a repeat of
+/// the last.
 ///
 /// Sequential (the default) runs blocks in ascending index order on the
-/// calling thread; `Parallel { threads }` hands the grid to the
+/// calling thread; `Parallel { threads }` hands them to the
 /// [`HostExecutor`](crate::host), whose deterministic merge makes the
 /// two paths bitwise identical.
 ///
@@ -221,10 +244,11 @@ fn run_blocks<K: BlockKernel>(
     stats: bool,
 ) -> Result<Vec<BlockCost>> {
     let n = cfg.grid_dim;
-    let threads = crate::host::current().threads().min(n as usize).max(1);
+    let run = n.min(cfg.busy_blocks.saturating_add(1));
+    let threads = crate::host::current().threads().min(run as usize).max(1);
     if threads == 1 {
-        let mut out = Vec::with_capacity(n as usize);
-        for b in 0..n {
+        let mut out = Vec::with_capacity(run as usize);
+        for b in 0..run {
             let mut ctx =
                 BlockCtx::with_stats(b, cfg.block_dim, n, cfg.shared_bytes, spec, model, stats);
             kernel.run(&mut ctx);
@@ -232,7 +256,7 @@ fn run_blocks<K: BlockKernel>(
         }
         return Ok(out);
     }
-    crate::host::HostExecutor::new(threads).run(n, |b| {
+    crate::host::HostExecutor::new(threads).run(run, |b| {
         let mut ctx = BlockCtx::with_stats(b, cfg.block_dim, n, cfg.shared_bytes, spec, model, stats);
         kernel.run(&mut ctx);
         ctx.finish()
@@ -360,6 +384,123 @@ mod tests {
             launch(&spec, cfg, &overflow)
         });
         assert!(matches!(r, Err(LaunchError::SharedMemOverflow { .. })));
+    }
+
+    /// A block span `('b', block, sm, start, end)` or a warp sample
+    /// `('w', block, warp, units, idle lanes)`, as bits.
+    type Dispatch = (char, u32, u32, u64, u64);
+
+    /// Every block span and warp sample a traced launch emits, without
+    /// the kernel id (each launch mints its own).
+    #[derive(Debug, Default)]
+    struct Dispatches(std::sync::Mutex<Vec<Dispatch>>);
+
+    impl trace::TraceSink for Dispatches {
+        fn event(&self, ev: &TraceEvent) {
+            let sample = match *ev {
+                TraceEvent::Block {
+                    block,
+                    sm,
+                    start_ms,
+                    end_ms,
+                    ..
+                } => ('b', block, sm, start_ms.to_bits(), end_ms.to_bits()),
+                TraceEvent::Warp {
+                    block,
+                    warp,
+                    units,
+                    idle_lanes,
+                    ..
+                } => ('w', block, warp, units.to_bits(), idle_lanes.to_bits()),
+                _ => return,
+            };
+            self.0.lock().expect("no sink user panics").push(sample);
+        }
+    }
+
+    #[test]
+    fn idle_tail_is_bitwise_equal_to_running_every_block() {
+        let block_dim = 12u32;
+        // Blocks below `busy` write, add and charge by block index; every
+        // later block only charges a fixed, divergent cost per thread
+        // and, with `overflow`, over-allocates shared memory.
+        let run = |spec: &GpuSpec, cfg: LaunchConfig, busy: u32, overflow: bool, traced: bool| {
+            let mut out = vec![0.0f32; cfg.grid_dim as usize * block_dim as usize + 1];
+            let sink = std::sync::Arc::new(Dispatches::default());
+            let report = {
+                let g = GlobalMem::new(&mut out);
+                let kernel = |b: &mut BlockCtx<'_>| {
+                    let idx = b.block_idx();
+                    if idx >= busy && overflow {
+                        let _ = b.alloc_shared::<u64>(100);
+                    }
+                    b.for_each_thread(|t| {
+                        if idx < busy {
+                            let gid = t.global_thread_id() as usize;
+                            t.charge(0.1 * f64::from((idx * 7 + t.thread_idx()) % 5));
+                            t.read_bytes(u64::from(t.thread_idx()) + 4);
+                            g.store(gid + 1, gid as f32 * 0.5);
+                            g.fetch_add(0, 0.1);
+                        } else {
+                            t.charge(0.1 * f64::from(t.thread_idx() % 3));
+                        }
+                    });
+                };
+                if traced {
+                    crate::tracing::scoped(sink.clone(), "tail", || launch(spec, cfg, &kernel))
+                } else {
+                    launch(spec, cfg, &kernel)
+                }
+            };
+            let report = report.map(|mut r| {
+                r.host_wall_ms = 0.0;
+                r
+            });
+            let out: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            let samples = std::mem::take(&mut *sink.0.lock().expect("no sink user panics"));
+            (report, out, samples)
+        };
+        // Several waves on 4 SMs; a grid smaller than the V100's 80 SMs.
+        for (spec, grid) in [(GpuSpec::test_tiny(), 11u32), (GpuSpec::v100(), 5)] {
+            for busy in [0, 1, grid - 1, grid] {
+                for backend in [
+                    crate::host::HostBackend::Sequential,
+                    crate::host::HostBackend::Parallel { threads: 4 },
+                ] {
+                    for (overflow, traced) in [(false, false), (false, true), (true, false)] {
+                        let every = LaunchConfig::new(grid, block_dim).with_shared(16);
+                        let tail = every.with_idle_tail(busy);
+                        let (want, got) = crate::host::scoped(backend, || {
+                            let want = run(&spec, every, busy, overflow, traced);
+                            (want, run(&spec, tail, busy, overflow, traced))
+                        });
+                        let label = format!(
+                            "{} busy {busy} of {grid}, {backend}, overflow {overflow}",
+                            spec.name
+                        );
+                        assert_eq!(got.0, want.0, "{label}: report");
+                        if let (Ok(_), false) = (&want.0, overflow) {
+                            assert_eq!(got.1, want.1, "{label}: output");
+                        }
+                        assert_eq!(got.2, want.2, "{label}: block spans and warp samples");
+                        if traced {
+                            let spans = got.2.iter().filter(|s| s.0 == 'b').count();
+                            assert_eq!(spans, grid as usize, "{label}: one span per block");
+                        }
+                        if overflow && busy < grid {
+                            assert!(
+                                matches!(
+                                    want.0,
+                                    Err(LaunchError::SharedMemOverflow { block_idx, .. })
+                                        if block_idx == busy
+                                ),
+                                "{label}: the first idle block fails"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

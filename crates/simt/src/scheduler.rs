@@ -11,12 +11,20 @@
 //! path no amount of oversubscription can hide. The device compute time is
 //! the slowest SM; the launch time is the max of compute and the memory
 //! roofline, plus fixed launch overhead.
+//!
+//! The dispatcher keeps the SMs in a min-heap keyed by (load, SM index).
+//! Its contract: on the finite, non-negative loads the model produces,
+//! it picks, block after block, exactly the SM a linear scan for the
+//! first least-loaded SM picks (the lowest index on ties), in
+//! O(log SMs) per block rather than O(SMs).
 
 use crate::block::BlockCost;
 use crate::cost::{CostModel, MemSummary};
 use crate::occupancy::Occupancy;
 use crate::report::{Boundedness, TimingBreakdown};
 use crate::spec::GpuSpec;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use trace::{KernelId, TraceEvent, TraceSink};
 
 /// Where a traced dispatch should send its per-block records.
@@ -41,11 +49,28 @@ pub fn device_time(
     blocks: &[BlockCost],
     occ: &Occupancy,
 ) -> TimingBreakdown {
-    device_time_traced(spec, model, blocks, occ, None)
+    device_time_traced(spec, model, blocks, blocks.len() as u32, occ, None)
 }
 
-/// [`device_time`], optionally emitting per-block dispatch spans and
-/// per-warp divergence samples to `trace`.
+/// Every block's cost in a launch of `grid_dim` blocks that executed
+/// `blocks`, in block order: the executed blocks, then the last of them
+/// once more for each block past them (the launch's idle tail, see
+/// [`LaunchConfig::with_idle_tail`](crate::launch::LaunchConfig::with_idle_tail)).
+///
+/// # Panics
+///
+/// If `blocks` is empty while `grid_dim` is not.
+pub(crate) fn grid_costs(blocks: &[BlockCost], grid_dim: u32) -> impl Iterator<Item = &BlockCost> {
+    let last = blocks.len().saturating_sub(1);
+    (0..grid_dim as usize).map(move |b| &blocks[b.min(last)])
+}
+
+/// [`device_time`] for a launch of `grid_dim` blocks, optionally emitting
+/// per-block dispatch spans and per-warp idle-lane samples to `trace`.
+///
+/// Block `b` costs `blocks[b]`; every block past the end of `blocks`
+/// costs the last entry, and is dispatched, traced and summed exactly
+/// as a stored copy of it would be.
 ///
 /// The timing math is untouched by tracing — the sink only observes the
 /// greedy dispatcher's intermediate state (which SM each block lands on
@@ -55,6 +80,7 @@ pub fn device_time_traced(
     spec: &GpuSpec,
     model: &CostModel,
     blocks: &[BlockCost],
+    grid_dim: u32,
     occ: &Occupancy,
     trace: Option<&TraceCtx<'_>>,
 ) -> TimingBreakdown {
@@ -64,6 +90,10 @@ pub fn device_time_traced(
     let num_sms = spec.num_sms as usize;
     let mut load = vec![0.0f64; num_sms]; // cycles of queued throughput work
     let mut critical = vec![0.0f64; num_sms]; // longest single warp seen
+    // The SMs by (load, index), least first. A non-negative f64's bits
+    // order as its value does, so the key compares loads exactly.
+    let mut least_loaded: BinaryHeap<Reverse<(u64, usize)>> =
+        (0..num_sms).map(|sm| Reverse((0.0f64.to_bits(), sm))).collect();
     let mut mem = MemSummary::default();
     let mut total_units = 0.0;
     let cycles_to_ms = 1.0 / (spec.clock_ghz * 1e9) * 1e3;
@@ -75,30 +105,25 @@ pub fn device_time_traced(
         .filter(|p| p.sm_degrade_prob > 0.0)
         .map(|p| (0..num_sms).map(|i| p.sm_multiplier(i as u32)).collect());
 
-    for (bi, b) in blocks.iter().enumerate() {
-        // Greedy: dispatch to the SM that currently finishes earliest.
-        // Ties break to the *lowest* SM index — the strict `<` keeps the
-        // first minimum the fold sees — so the SM assignment is a pure
+    for (bi, b) in grid_costs(blocks, grid_dim).enumerate() {
+        // Greedy: dispatch to the SM that currently finishes earliest,
+        // ties to the *lowest* SM index, so the SM assignment is a pure
         // function of the block sequence. The parallel host backend
         // relies on this: merging `BlockCost`s back in block order is
         // sufficient for bitwise-identical timing, with no hidden
         // dependence on comparison order (pinned by
         // `ties_break_to_the_lowest_sm_index`).
-        let (sm, _) = load
-            .iter()
-            .enumerate()
-            .fold((0usize, f64::INFINITY), |(bi, bv), (i, &v)| {
-                if v < bv {
-                    (i, v)
-                } else {
-                    (bi, bv)
-                }
-            });
+        let mut top = least_loaded.peek_mut().expect("a device has at least one SM");
+        let sm = top.0 .1;
         let units = b.total_units();
         total_units += units;
         let start = load[sm];
         let m = fault_mults.as_ref().map_or(1.0, |v| v[sm]);
         load[sm] += units / eff_issue / m;
+        debug_assert!(load[sm] >= 0.0, "SM loads are non-negative and not NaN");
+        // Re-keying the top sifts it down when `top` drops.
+        *top = Reverse((load[sm].to_bits(), sm));
+        drop(top);
         critical[sm] = critical[sm].max(b.critical_warp() / m);
         mem = mem.merged(b.mem);
         if let Some(t) = trace {
@@ -110,29 +135,39 @@ pub fn device_time_traced(
                 start_ms: start * cycles_to_ms,
                 end_ms: load[sm] * cycles_to_ms,
             });
-            for (w, (&cost, &active)) in b.warp_costs.iter().zip(&b.warp_active).enumerate() {
-                let frac = if cost > 0.0 {
-                    (active / (f64::from(spec.warp_size) * cost)).clamp(0.0, 1.0)
-                } else {
-                    1.0
-                };
+            for (w, (&cost, &idle)) in b.warp_costs.iter().zip(&b.warp_idle).enumerate() {
                 t.sink.event(&TraceEvent::Warp {
                     kernel: t.kernel,
                     block: bi as u32,
                     warp: w as u32,
                     units: cost,
-                    active_frac: frac,
+                    idle_lanes: if cost > 0.0 { idle / cost } else { 0.0 },
                 });
             }
         }
     }
 
+    breakdown(spec, model, eff_issue, &load, &critical, mem, total_units)
+}
+
+/// The launch's timing from the dispatcher's final state: each SM's
+/// queued load and longest warp, the launch's traffic and its units.
+fn breakdown(
+    spec: &GpuSpec,
+    model: &CostModel,
+    eff_issue: f64,
+    load: &[f64],
+    critical: &[f64],
+    mem: MemSummary,
+    total_units: f64,
+) -> TimingBreakdown {
+    let cycles_to_ms = 1.0 / (spec.clock_ghz * 1e9) * 1e3;
     // An SM's time: its throughput load, plus any critical-path excess —
     // a warp that outlives all co-resident work runs alone, latency
     // exposed, and pays `latency_stall`× for the uncovered portion.
     let sm_cycles: Vec<f64> = load
         .iter()
-        .zip(&critical)
+        .zip(critical)
         .map(|(&l, &c)| l + (c - l).max(0.0) * model.latency_stall)
         .collect();
     let compute_cycles = sm_cycles.iter().copied().fold(0.0, f64::max);
@@ -140,7 +175,7 @@ pub fn device_time_traced(
     let overhead_ms = spec.launch_overhead_us * 1e-3;
     let busy: f64 = sm_cycles.iter().sum();
     let utilization = if compute_cycles > 0.0 {
-        busy / (compute_cycles * num_sms as f64)
+        busy / (compute_cycles * sm_cycles.len() as f64)
     } else {
         0.0
     };
@@ -184,7 +219,7 @@ mod tests {
     fn block_of(warps: &[f64]) -> BlockCost {
         BlockCost {
             warp_costs: warps.to_vec(),
-            warp_active: Vec::new(),
+            warp_idle: Vec::new(),
             mem: MemSummary::default(),
         }
     }
@@ -226,7 +261,7 @@ mod tests {
             kernel: KernelId::next(),
             device: 0,
         };
-        device_time_traced(&spec, &model, &blocks, &o, Some(&ctx));
+        device_time_traced(&spec, &model, &blocks, blocks.len() as u32, &o, Some(&ctx));
         let sms: Vec<u32> = rec
             .snapshot()
             .events
@@ -238,6 +273,132 @@ mod tests {
             .collect();
         let want: Vec<u32> = (0..num_sms as u32).chain(0..num_sms as u32).collect();
         assert_eq!(sms, want, "greedy argmin must resolve ties by lowest SM index");
+    }
+
+    /// The dispatcher the heap replaced, kept as the reference: a linear
+    /// scan for the first least-loaded SM, over every block's stored
+    /// cost. Returns the timing and each block's (SM, start, end) bits.
+    fn scan_reference(
+        spec: &GpuSpec,
+        model: &CostModel,
+        blocks: &[BlockCost],
+        occ: &Occupancy,
+    ) -> (TimingBreakdown, Vec<(u32, u64, u64)>) {
+        let hide = (f64::from(occ.resident_warps) / model.latency_hiding_warps).min(1.0);
+        let eff_issue = (f64::from(spec.issue_width_per_sm) * hide).max(1e-9);
+        let num_sms = spec.num_sms as usize;
+        let (mut load, mut critical) = (vec![0.0f64; num_sms], vec![0.0f64; num_sms]);
+        let (mut mem, mut total_units) = (MemSummary::default(), 0.0);
+        let cycles_to_ms = 1.0 / (spec.clock_ghz * 1e9) * 1e3;
+        let fault_mults: Option<Vec<f64>> = crate::fault::current()
+            .filter(|p| p.sm_degrade_prob > 0.0)
+            .map(|p| (0..num_sms).map(|i| p.sm_multiplier(i as u32)).collect());
+        let mut spans = Vec::new();
+        for b in blocks {
+            let (sm, _) = load
+                .iter()
+                .enumerate()
+                .fold((0usize, f64::INFINITY), |(bi, bv), (i, &v)| {
+                    if v < bv {
+                        (i, v)
+                    } else {
+                        (bi, bv)
+                    }
+                });
+            let units = b.total_units();
+            total_units += units;
+            let start = load[sm];
+            let m = fault_mults.as_ref().map_or(1.0, |v| v[sm]);
+            load[sm] += units / eff_issue / m;
+            critical[sm] = critical[sm].max(b.critical_warp() / m);
+            mem = mem.merged(b.mem);
+            let ms = |cycles: f64| (cycles * cycles_to_ms).to_bits();
+            spans.push((sm as u32, ms(start), ms(load[sm])));
+        }
+        let timing = breakdown(spec, model, eff_issue, &load, &critical, mem, total_units);
+        (timing, spans)
+    }
+
+    fn timing_bits(t: &TimingBreakdown) -> (Vec<u64>, Boundedness) {
+        let scalars = [
+            t.compute_ms,
+            t.memory_ms,
+            t.overhead_ms,
+            t.elapsed_ms,
+            t.sm_utilization,
+            t.total_units,
+            t.effective_issue_width,
+        ];
+        let bits = scalars.iter().chain(&t.sm_times_ms).map(|x| x.to_bits()).collect();
+        (bits, t.bound)
+    }
+
+    #[test]
+    fn heap_dispatch_matches_the_linear_scan_bit_for_bit() {
+        let model = CostModel::standard();
+        // splitmix64: a seeded stream, uniform in `0..n`.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let degraded = crate::fault::FaultPlan::healthy(5).with_degraded_sms(0.5, 0.25, 0.75);
+        for spec in [GpuSpec::v100(), GpuSpec::test_tiny()] {
+            let o = occ(&spec);
+            let sms = u64::from(spec.num_sms);
+            for case in 0..150 {
+                // Few distinct warp costs, on an integer grid or in 0.1
+                // steps, so SM loads tie often; grids from one block to
+                // several waves of SMs.
+                let step = if case % 2 == 0 { 10.0 } else { 0.1 };
+                let grid = 1 + draw(4 * sms + 3) as usize;
+                let warps = 1 + draw(4) as usize;
+                // Half the cases end in an idle tail: the blocks past
+                // `executed` repeat the last executed cost.
+                let executed = if case % 4 < 2 { grid } else { 1 + draw(grid as u64) as usize };
+                let blocks: Vec<BlockCost> = (0..executed)
+                    .map(|_| BlockCost {
+                        warp_costs: (0..warps).map(|_| step * draw(4) as f64).collect(),
+                        warp_idle: Vec::new(),
+                        mem: MemSummary {
+                            read_bytes: draw(3) << 20,
+                            ..Default::default()
+                        },
+                    })
+                    .collect();
+                let mut every_block = blocks.clone();
+                every_block.resize(grid, blocks[executed - 1].clone());
+                let check = || {
+                    let rec = trace::Recorder::new();
+                    let ctx = TraceCtx {
+                        sink: &rec,
+                        kernel: KernelId::next(),
+                        device: 0,
+                    };
+                    let heap = device_time_traced(&spec, &model, &blocks, grid as u32, &o, Some(&ctx));
+                    let spans: Vec<(u32, u64, u64)> = rec
+                        .snapshot()
+                        .events
+                        .iter()
+                        .filter_map(|e| match *e {
+                            TraceEvent::Block {
+                                sm, start_ms, end_ms, ..
+                            } => Some((sm, start_ms.to_bits(), end_ms.to_bits())),
+                            _ => None,
+                        })
+                        .collect();
+                    let (scan, scan_spans) = scan_reference(&spec, &model, &every_block, &o);
+                    let label = format!("{} case {case}: {executed} of {grid} blocks", spec.name);
+                    assert_eq!(timing_bits(&heap), timing_bits(&scan), "{label}: timing");
+                    assert_eq!(spans, scan_spans, "{label}: block spans");
+                };
+                check();
+                crate::fault::scoped(degraded, check);
+            }
+        }
     }
 
     #[test]
@@ -274,7 +435,7 @@ mod tests {
         let blocks: Vec<_> = (0..160)
             .map(|_| BlockCost {
                 warp_costs: vec![1.0; 8],
-                warp_active: Vec::new(),
+                warp_idle: Vec::new(),
                 mem: MemSummary {
                     read_bytes: 9_000_000_000 / 160, // 10 ms total at 900 GB/s
                     ..Default::default()
@@ -295,7 +456,7 @@ mod tests {
         let balanced: Vec<_> = (0..160)
             .map(|_| BlockCost {
                 warp_costs: vec![100.0; 8],
-                warp_active: Vec::new(),
+                warp_idle: Vec::new(),
                 mem: MemSummary {
                     read_bytes: bytes_total / 160,
                     ..Default::default()
@@ -305,7 +466,7 @@ mod tests {
         // Same traffic, but one block does all the compute work → SMs idle.
         let mut skewed = vec![BlockCost {
             warp_costs: vec![1_000_000.0; 8],
-            warp_active: Vec::new(),
+            warp_idle: Vec::new(),
             mem: MemSummary {
                 read_bytes: bytes_total,
                 ..Default::default()
@@ -313,7 +474,7 @@ mod tests {
         }];
         skewed.extend((0..159).map(|_| BlockCost {
             warp_costs: vec![0.001; 8],
-            warp_active: Vec::new(),
+            warp_idle: Vec::new(),
             mem: MemSummary::default(),
         }));
         let t_bal = device_time(&spec, &model, &balanced, &occ(&spec));
@@ -360,7 +521,7 @@ mod tests {
             kernel: KernelId::next(),
             device: 0,
         };
-        let traced = device_time_traced(&spec, &model, &blocks, &o, Some(&ctx));
+        let traced = device_time_traced(&spec, &model, &blocks, blocks.len() as u32, &o, Some(&ctx));
         assert_eq!(plain, traced);
         let data = rec.snapshot();
         let spans: Vec<_> = data

@@ -394,7 +394,7 @@ mod tests {
             block: 0,
             warp: 0,
             units: 1.0,
-            active_frac: 1.0,
+            idle_lanes: 0.0,
         });
         let text = to_chrome_json(&r.snapshot());
         let v = json::parse(&text).expect("valid JSON");

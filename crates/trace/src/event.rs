@@ -237,10 +237,12 @@ pub enum TraceEvent {
         warp: u32,
         /// Work units charged to the warp (its lockstep maximum).
         units: f64,
-        /// Mean lane activity relative to the warp's critical lane in
-        /// `[0, 1]`; `1.0` means no divergence, small values mean most
-        /// lanes idled while one lane worked.
-        active_frac: f64,
+        /// Idle-lane equivalents: the lanes of the device's warp width,
+        /// each weighted by the share of `units` it spent waiting on the
+        /// warp's slowest lane. `0.0` means every lane ran the warp's
+        /// full cost; one busy lane beside 31 lanes that charge nothing
+        /// books 31.
+        idle_lanes: f64,
     },
     /// A request lifecycle milestone.
     Request {

@@ -39,8 +39,7 @@ pub struct TraceData {
     pub events: Vec<TraceEvent>,
     /// Timeline events dropped because the ring was full.
     pub dropped: u64,
-    /// Per-warp idle-lane equivalents (`32 × (1 − activity)`, in units
-    /// of lanes assuming 32-lane warps), one sample per warp record.
+    /// Per-warp idle-lane equivalents, one sample per warp record.
     pub idle_lanes: LogHistogram,
     /// Block busy durations (ms), one sample per block record — the
     /// tail of this distribution is the launch's load imbalance.
@@ -146,11 +145,9 @@ impl TraceSink for Recorder {
     fn event(&self, ev: &TraceEvent) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
         match *ev {
-            TraceEvent::Warp { active_frac, .. } => {
+            TraceEvent::Warp { idle_lanes, .. } => {
                 // Aggregated only: high-volume, no timeline position.
-                inner
-                    .idle_lanes
-                    .record(32.0 * (1.0 - active_frac.clamp(0.0, 1.0)));
+                inner.idle_lanes.record(idle_lanes);
                 return;
             }
             TraceEvent::Block {
@@ -231,7 +228,7 @@ mod tests {
             block: 0,
             warp: 0,
             units: 10.0,
-            active_frac: 0.25,
+            idle_lanes: 24.0,
         });
         let d = r.snapshot();
         assert!(d.events.is_empty());

@@ -244,7 +244,7 @@ mod tests {
                 block: b,
                 warp: 0,
                 units: 10.0,
-                active_frac: 0.5,
+                idle_lanes: 16.0,
             });
         }
         let text = render(&r.snapshot());

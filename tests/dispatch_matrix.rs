@@ -395,7 +395,8 @@ mod legacy {
         let sched = WorkQueueSchedule::new(&work, chunk as usize);
         let mut y = vec![0.0f32; a.rows()];
         let (values, col_indices) = (a.values(), a.col_indices());
-        let cfg = sched.launch_config(spec, block_dim);
+        // The schedule's grid without its idle tail: every block runs.
+        let cfg = LaunchConfig::new(sched.launch_config(spec, block_dim).grid_dim, block_dim);
         let report = {
             let gy = GlobalMem::new(&mut y);
             simt::launch_threads_with_model(spec, model, cfg, |t| {
@@ -841,41 +842,54 @@ fn engine_and_legacy_spmv_agree_on_random_cases() {
     }
 }
 
-/// Every warp sample a traced launch emits, as bits:
-/// (block, warp, units, active fraction).
-#[derive(Debug, Default)]
-struct WarpSamples(std::sync::Mutex<Vec<(u32, u32, u64, u64)>>);
+/// One traced dispatch record, as bits, in emission order:
+/// `('b', block, sm, start, end)` for a block span and
+/// `('w', block, warp, units, idle lanes)` for a warp sample.
+type DispatchSample = (char, u32, u32, u64, u64);
 
-impl trace::TraceSink for WarpSamples {
+/// Every block span and warp sample a traced launch emits.
+#[derive(Debug, Default)]
+struct DispatchSamples(std::sync::Mutex<Vec<DispatchSample>>);
+
+impl trace::TraceSink for DispatchSamples {
     fn event(&self, ev: &trace::TraceEvent) {
-        if let trace::TraceEvent::Warp {
-            block,
-            warp,
-            units,
-            active_frac,
-            ..
-        } = *ev
-        {
-            let sample = (block, warp, units.to_bits(), active_frac.to_bits());
-            self.0.lock().expect("no sink user panics").push(sample);
-        }
+        let sample = match *ev {
+            trace::TraceEvent::Block {
+                block,
+                sm,
+                start_ms,
+                end_ms,
+                ..
+            } => ('b', block, sm, start_ms.to_bits(), end_ms.to_bits()),
+            trace::TraceEvent::Warp {
+                block,
+                warp,
+                units,
+                idle_lanes,
+                ..
+            } => ('w', block, warp, units.to_bits(), idle_lanes.to_bits()),
+            _ => return,
+        };
+        self.0.lock().expect("no sink user panics").push(sample);
     }
 }
 
-/// Run `f` under a fresh [`WarpSamples`] sink; return its result and the
-/// samples.
-fn with_warp_samples<R>(f: impl FnOnce() -> R) -> (R, Vec<(u32, u32, u64, u64)>) {
-    let sink = std::sync::Arc::new(WarpSamples::default());
+/// Run `f` under a fresh [`DispatchSamples`] sink; return its result and
+/// the samples.
+fn with_dispatch_samples<R>(f: impl FnOnce() -> R) -> (R, Vec<DispatchSample>) {
+    let sink = std::sync::Arc::new(DispatchSamples::default());
     let out = simt::tracing::scoped(sink.clone(), "spmv/work-queue", f);
     let samples = std::mem::take(&mut *sink.0.lock().expect("no sink user panics"));
     (out, samples)
 }
 
 /// The engine's work-queue launch runs only the threads with a first
-/// claim and charges the rest as idle; the legacy launch runs every
-/// thread. On the V100 nearly every persistent thread is idle; on the
+/// claim and charges the rest as idle, and runs no block past the first
+/// one without a claim; the legacy launch runs every thread of every
+/// block. On the V100 nearly every persistent thread is idle; on the
 /// tiny spec threads loop over several claims. Results, the whole
-/// report and, traced, every warp sample must agree bit for bit.
+/// report and, traced, every block span (SM and times) and warp sample
+/// must agree bit for bit.
 #[test]
 fn work_queue_idle_tail_matches_the_every_thread_launch() {
     let model = CostModel::standard();
@@ -903,12 +917,13 @@ fn work_queue_idle_tail_matches_the_every_thread_launch() {
                     assert_eq!(bits(&run.y), bits(&ly), "{label}: y");
                     assert_eq!(strip(&run.report), strip(&lreport), "{label}: report");
 
-                    let (traced, samples) = with_warp_samples(engine);
-                    let ((ly, lreport, _), lsamples) = with_warp_samples(every);
+                    let (traced, samples) = with_dispatch_samples(engine);
+                    let ((ly, lreport, _), lsamples) = with_dispatch_samples(every);
                     assert_eq!(bits(&traced.y), bits(&ly), "{label}: traced y");
                     assert_eq!(strip(&traced.report), strip(&lreport), "{label}: traced report");
-                    assert!(!samples.is_empty(), "{label}: the launch was traced");
-                    assert_eq!(samples, lsamples, "{label}: warp samples");
+                    let spans = samples.iter().filter(|s| s.0 == 'b').count();
+                    assert_eq!(spans, lreport.grid_dim as usize, "{label}: one span per block");
+                    assert_eq!(samples, lsamples, "{label}: block spans and warp samples");
                 }
             }
         }
