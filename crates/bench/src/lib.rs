@@ -38,7 +38,6 @@ pub mod cli;
 pub mod csv;
 pub mod format_ablation;
 pub mod loc;
-pub mod microbench;
 pub mod node;
 pub mod plot;
 pub mod profile;

@@ -46,50 +46,6 @@ impl Fingerprint {
     }
 }
 
-/// A constant-time validation stamp for address-keyed fingerprint
-/// memoization.
-///
-/// [`Fingerprint::of`] is O(rows), so the runtime memoizes it by
-/// allocation address — but an address is not an identity: the allocator
-/// reuses a dropped matrix's address for the next one, and a memo that
-/// trusts the address alone then serves the *old* matrix's fingerprint
-/// (and therefore someone else's cached plan). The stamp re-reads the
-/// header (`rows`/`cols`/`nnz`) plus an FNV-1a probe of eight evenly
-/// spaced row offsets in O(1), so every memo hit can be validated
-/// against the matrix actually presented. A colliding stamp would need a
-/// different matrix to agree on shape, nonzero count, and all eight
-/// sampled offsets; a false mismatch merely recomputes the fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeaderStamp {
-    rows: usize,
-    cols: usize,
-    nnz: usize,
-    probe: u64,
-}
-
-impl HeaderStamp {
-    /// Number of row offsets the probe samples.
-    const SAMPLES: usize = 8;
-
-    /// Stamp a CSR matrix in O(1).
-    pub fn of(a: &Csr<f32>) -> Self {
-        let offs = a.row_offsets();
-        let last = offs.len() - 1; // offsets has rows + 1 ≥ 1 entries
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for k in 0..Self::SAMPLES {
-            let idx = last * k / (Self::SAMPLES - 1);
-            h ^= offs[idx] as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Self {
-            rows: a.rows(),
-            cols: a.cols(),
-            nnz: a.nnz(),
-            probe: h,
-        }
-    }
-}
-
 /// 64-bit FNV-1a over a usize slice (little-endian bytes).
 fn fnv1a_usizes(data: &[usize]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -140,22 +96,5 @@ mod tests {
         let d = Csr::from_triplets(3, 3, vec![(0u32, 0u32, 1.0f32), (2, 1, 1.0), (2, 2, 1.0)])
             .unwrap();
         assert_ne!(Fingerprint::of(&c), Fingerprint::of(&d));
-    }
-
-    #[test]
-    fn stamp_is_stable_for_a_matrix_and_separates_structures() {
-        let a = sparse::gen::uniform(300, 300, 3_000, 3);
-        assert_eq!(HeaderStamp::of(&a), HeaderStamp::of(&a.clone()));
-        // Different shape.
-        let b = sparse::gen::uniform(301, 300, 3_000, 3);
-        assert_ne!(HeaderStamp::of(&a), HeaderStamp::of(&b));
-        // Same shape and nnz, different row distribution: the offset
-        // probe separates them.
-        let c = sparse::gen::powerlaw(300, 300, 3_000, 1.9, 3);
-        if c.nnz() == a.nnz() {
-            assert_ne!(HeaderStamp::of(&a), HeaderStamp::of(&c));
-        }
-        // Degenerate shapes stamp without panicking.
-        let _ = HeaderStamp::of(&sparse::gen::uniform(1, 1, 0, 1));
     }
 }

@@ -64,7 +64,7 @@ use autotune::{Autotuner, TuneAction};
 
 pub use autotune::{TuneConfig, TuneStats};
 pub use cache::{CacheStats, PlanCache, PlanKey};
-pub use fingerprint::{Fingerprint, HeaderStamp};
+pub use fingerprint::Fingerprint;
 pub use split::{decomposable, pinned_schedule, split_spmv, SplitRun};
 pub use stream::{mutate, serve_evolving, MutationOutcome, StreamSpec, WindowStats};
 pub use workload::{zipf_workload, WorkloadSpec};
@@ -519,7 +519,7 @@ enum SubmitOutcome {
 
 /// Fingerprint-memo bound: past this many entries, entries cold for at
 /// least a full cap's worth of lookups are evicted, falling back to a
-/// clear when everything is hot (see [`Runtime::fingerprint_of`]).
+/// clear when everything is hot (see [`Runtime::fingerprint`]).
 const FP_MEMO_CAP: usize = 1024;
 
 /// Prepared-operand cache bound: past this many entries the cache is
@@ -528,10 +528,9 @@ const FP_MEMO_CAP: usize = 1024;
 /// format serve).
 const OPERAND_CACHE_CAP: usize = 64;
 
-/// One fingerprint-memo slot (see [`Runtime::fingerprint_of`]).
+/// One fingerprint-memo slot (see [`Runtime::fingerprint`]).
 #[derive(Debug, Clone, Copy)]
 struct MemoEntry {
-    stamp: HeaderStamp,
     fp: Fingerprint,
     /// Memo-clock value of this entry's last hit or insert. Entries
     /// that fall a full [`FP_MEMO_CAP`] lookups behind are cold and
@@ -542,14 +541,14 @@ struct MemoEntry {
 /// Counters for the fingerprint memo (see [`Runtime::memo_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Lookups answered by a stamp-validated memo hit.
+    /// Lookups answered by a memo hit.
     pub hits: usize,
-    /// Lookups that computed the full fingerprint: first sight of an
-    /// address, or a refill after eviction.
+    /// Lookups that computed the full fingerprint: first sight of a
+    /// structure id, or a refill after eviction.
     pub misses: usize,
-    /// Hits whose stored stamp disagreed with the matrix presented —
-    /// address reuse or in-place structural mutation. The entry is
-    /// recomputed and replaced in place.
+    /// Always 0: the memo is keyed by [`Csr::structure_id`], an exact
+    /// identity, so a hit can no longer disagree with the matrix
+    /// presented. Kept because the benchmark reports it.
     pub stamp_mismatches: usize,
     /// Entries dropped to stay within the memo's bound (`FP_MEMO_CAP`).
     pub evictions: usize,
@@ -558,7 +557,7 @@ pub struct MemoStats {
 impl MemoStats {
     /// Fraction of lookups served from the memo (0 if none yet).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.stamp_mismatches;
+        let total = self.hits + self.misses;
         if total == 0 {
             0.0
         } else {
@@ -615,11 +614,9 @@ pub struct Runtime {
     streams: Vec<Vec<StreamId>>,
     health: Vec<DeviceHealth>,
     cache: PlanCache,
-    /// Fingerprints memoized by allocation address. The address is only
-    /// a *hint*: every hit is validated against a [`HeaderStamp`] of the
-    /// matrix actually presented, because allocators reuse addresses
-    /// (see [`Runtime::fingerprint_of`]).
-    fp_memo: HashMap<usize, MemoEntry>,
+    /// Fingerprints memoized by [`Csr::structure_id`] (see
+    /// [`Runtime::fingerprint`]).
+    fp_memo: HashMap<u64, MemoEntry>,
     /// Lookup counter driving the memo's recency horizon.
     memo_clock: u64,
     memo_stats: MemoStats,
@@ -925,45 +922,33 @@ impl Runtime {
         self.cache.stats()
     }
 
-    /// Fingerprint a matrix, memoized by allocation address so popular
-    /// operands hash their full row structure (O(rows)) once.
+    /// Fingerprint a matrix through the runtime's memo — the exact path
+    /// every serve takes. Public so streaming callers can capture a
+    /// matrix's fingerprint before mutating it and retire the old state
+    /// afterwards (see [`stream`]).
     ///
-    /// The address is a *hint*, not an identity: when a matrix is
-    /// dropped, the allocator happily hands its address to the next
-    /// allocation, and a memo keyed by address alone would then return
-    /// the dropped matrix's fingerprint — serving the new matrix with a
-    /// stale plan built for someone else's row structure. Every hit is
-    /// therefore validated against an O(1) [`HeaderStamp`] of the matrix
-    /// actually presented; a mismatch recomputes and replaces the entry.
+    /// [`Fingerprint::of`] is O(rows), so the memo keys it by
+    /// [`Csr::structure_id`] and popular operands hash their row
+    /// structure once. The id is an exact key: clones share it, no
+    /// mutation reaches the structure it names, and a rebuilt matrix
+    /// gets a new one.
     ///
-    /// The memo is bounded at [`FP_MEMO_CAP`] entries. Overflow evicts
+    /// The memo is bounded at `FP_MEMO_CAP` entries. Overflow evicts
     /// only *cold* entries — those not touched within the last
     /// `FP_MEMO_CAP` lookups — so a mutation-heavy stream that churns
-    /// through one-shot addresses cannot wipe the hot working set the
+    /// through one-shot matrices cannot wipe the hot working set the
     /// way the old clear-on-full did. The recency horizon is a
     /// `retain` predicate on per-entry counters, never an
     /// iteration-order choice, so eviction is deterministic despite
     /// `HashMap` iteration order varying across processes. If every
     /// entry is hot the memo falls back to a full clear (pure
     /// memoization — the only cost is re-hashing on the next request).
-    fn fingerprint_of(&mut self, ptr: usize, a: &Csr<f32>) -> Fingerprint {
+    pub fn fingerprint(&mut self, a: &Csr<f32>) -> Fingerprint {
         self.memo_clock += 1;
-        let stamp = HeaderStamp::of(a);
-        if let Some(entry) = self.fp_memo.get_mut(&ptr) {
-            if entry.stamp == stamp {
-                entry.last_used = self.memo_clock;
-                self.memo_stats.hits += 1;
-                return entry.fp;
-            }
-            // The address now holds a structurally different matrix:
-            // recompute and replace the slot in place (no growth, so no
-            // eviction pass).
-            self.memo_stats.stamp_mismatches += 1;
-            let fp = Fingerprint::of(a);
-            entry.stamp = stamp;
-            entry.fp = fp;
+        if let Some(entry) = self.fp_memo.get_mut(&a.structure_id()) {
             entry.last_used = self.memo_clock;
-            return fp;
+            self.memo_stats.hits += 1;
+            return entry.fp;
         }
         self.memo_stats.misses += 1;
         let fp = Fingerprint::of(a);
@@ -977,9 +962,8 @@ impl Runtime {
             self.memo_stats.evictions += before - self.fp_memo.len();
         }
         self.fp_memo.insert(
-            ptr,
+            a.structure_id(),
             MemoEntry {
-                stamp,
                 fp,
                 last_used: self.memo_clock,
             },
@@ -990,14 +974,6 @@ impl Runtime {
     /// Counters for the fingerprint memo.
     pub fn memo_stats(&self) -> MemoStats {
         self.memo_stats
-    }
-
-    /// Fingerprint a matrix through the runtime's address-keyed memo —
-    /// the exact path every serve takes. Public so streaming callers
-    /// can capture a matrix's identity before mutating it and retire
-    /// the old state afterwards (see [`stream`]).
-    pub fn fingerprint(&mut self, a: &Arc<Csr<f32>>) -> Fingerprint {
-        self.fingerprint_of(Arc::as_ptr(a) as usize, a)
     }
 
     /// Drop every cache entry keyed by `fp`, across all tiers: plan
@@ -1260,7 +1236,7 @@ impl Runtime {
         x: &[f32],
         kind: ScheduleKind,
     ) -> simt::Result<PlannedRun<Vec<f32>>> {
-        let fp = self.fingerprint_of(Arc::as_ptr(a) as usize, a);
+        let fp = self.fingerprint(a);
         self.serve_planned(&Spmv { a, x }, fp, Some(kind))
     }
 
@@ -1277,7 +1253,7 @@ impl Runtime {
         a: &Arc<Csr<f32>>,
         b: &DenseMatrix<f32>,
     ) -> simt::Result<PlannedRun<DenseMatrix<f32>>> {
-        let fp = self.fingerprint_of(Arc::as_ptr(a) as usize, a);
+        let fp = self.fingerprint(a);
         self.serve_planned(&Spmm { a, b }, fp, None)
     }
 
@@ -1289,7 +1265,7 @@ impl Runtime {
     /// therefore on `src`), so a tuner sweep measures each candidate on
     /// whichever source its exploration serve carries.
     pub fn run_bfs(&mut self, g: &Arc<Graph>, src: usize) -> simt::Result<PlannedRun<Vec<u32>>> {
-        let fp = self.fingerprint_of(Arc::as_ptr(g) as usize, g.adjacency());
+        let fp = self.fingerprint(g.adjacency());
         self.serve_planned(&Bfs { g, src }, fp, None)
     }
 
@@ -1569,7 +1545,7 @@ impl Runtime {
         // requests; fused batches are one-off shapes and bypass it.
         let served = if let [(r, _)] = members {
             let k = Spmv { a: &r.matrix, x: &r.x };
-            let fp = self.fingerprint_of(Arc::as_ptr(&r.matrix) as usize, &r.matrix);
+            let fp = self.fingerprint(&r.matrix);
             let served = match self.cached_or_tuned(&k, fp, None, submit_ms)? {
                 Some(served) => served,
                 // An untuned serve miss runs cold, then prepares the plan
@@ -2599,35 +2575,29 @@ mod tests {
     }
 
     #[test]
-    fn fp_memo_revalidates_on_address_reuse() {
-        // Regression: the memo used to key on the allocation address
-        // alone, so a new matrix landing on a dropped matrix's address
-        // was served the old fingerprint (and therefore the old matrix's
-        // cached plan). Present two different matrices under the same
-        // address key: the old code returns `a`'s fingerprint for `b`.
+    fn fp_memo_keys_by_structure_id() {
+        // Two matrices get their own fingerprints, and a clone shares its
+        // source's structure id, so it is a memo hit.
         let mut rt = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
         let a = sparse::gen::uniform(500, 500, 5_000, 1);
         let b = sparse::gen::powerlaw(700, 700, 9_000, 1.8, 2);
-        let reused_addr = 0xdead_usize;
-        let fa = rt.fingerprint_of(reused_addr, &a);
+        let fa = rt.fingerprint(&a);
+        let fb = rt.fingerprint(&b);
         assert_eq!(fa, Fingerprint::of(&a));
-        let fb = rt.fingerprint_of(reused_addr, &b);
-        assert_eq!(
-            fb,
-            Fingerprint::of(&b),
-            "memo served a stale fingerprint across address reuse"
-        );
+        assert_eq!(fb, Fingerprint::of(&b));
         assert_ne!(fa, fb);
-        // A true re-presentation of the same matrix still memo-hits.
-        assert_eq!(rt.fingerprint_of(reused_addr, &b), fb);
+        assert_eq!(rt.memo_stats().misses, 2);
+        assert_eq!(rt.fingerprint(&b.clone()), fb);
+        assert_eq!(rt.memo_stats().hits, 1);
+        assert_eq!(rt.memo_stats().stamp_mismatches, 0);
     }
 
     #[test]
     fn fp_memo_survives_real_allocator_reuse() {
-        // Best-effort end-to-end variant: drop each Arc before allocating
-        // the next so the allocator is free to hand out the same block.
-        // Whether or not reuse happens on this allocator, every memo
-        // answer must match the matrix actually presented.
+        // Drop each Arc before allocating the next so the allocator is
+        // free to hand out the same block. Whether or not reuse happens
+        // on this allocator, every memo answer must match the matrix
+        // actually presented.
         let mut rt = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
         for i in 0..64u64 {
             let m = Arc::new(sparse::gen::uniform(
@@ -2636,7 +2606,7 @@ mod tests {
                 4_000 + 13 * i as usize,
                 i,
             ));
-            let fp = rt.fingerprint_of(Arc::as_ptr(&m) as usize, &m);
+            let fp = rt.fingerprint(&m);
             assert_eq!(fp, Fingerprint::of(&m));
         }
     }
@@ -2644,9 +2614,8 @@ mod tests {
     #[test]
     fn fp_memo_is_bounded() {
         let mut rt = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
-        let m = sparse::gen::uniform(100, 100, 1_000, 9);
-        for addr in 0..(FP_MEMO_CAP * 2 + 3) {
-            rt.fingerprint_of(addr, &m);
+        for _ in 0..(FP_MEMO_CAP * 2 + 3) {
+            rt.fingerprint(&Csr::<f32>::empty(4, 4));
         }
         assert!(rt.fp_memo.len() <= FP_MEMO_CAP);
     }

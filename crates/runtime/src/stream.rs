@@ -8,9 +8,12 @@
 //! mutation class (DESIGN.md §15 tabulates the contract). [`mutate`] is
 //! the one safe mutation entry point — it applies a batch through
 //! [`sparse::delta::apply_in_place`] and retires every cache tier keyed
-//! by the old fingerprint when the pattern changed; value-only patches
-//! retire nothing, because plans are pattern-only (still valid) and
-//! converted operands are guarded lazily by the value epoch.
+//! by the old fingerprint when the pattern changed. A structural batch
+//! rebuilds the matrix, which mints a new [`Csr::structure_id`], so the
+//! fingerprint memo misses on it by construction. Value-only patches
+//! retire nothing: they keep the structure id, plans are pattern-only
+//! (still valid), and converted operands are guarded lazily by the
+//! value epoch.
 //! [`serve_evolving`] drives whole windows of mutation + requests
 //! deterministically for benches and tests.
 
@@ -49,8 +52,8 @@ pub struct MutationOutcome {
 /// state — the safe way to mutate a matrix the runtime is serving.
 ///
 /// `Arc::make_mut` clones the matrix if other holders share it (their
-/// view stays consistent; the runtime's fp memo revalidates the new
-/// address by stamp). After the apply, if the fingerprint changed —
+/// view stays consistent; the clone shares the structure id, so the
+/// fp memo still hits). After the apply, if the fingerprint changed —
 /// a structural mutation — every cache tier keyed by the old
 /// fingerprint is retired via [`Runtime::retire`]. Value-only patches
 /// keep the fingerprint, and correctness is carried by the value
@@ -228,11 +231,10 @@ mod tests {
         assert_ne!(out.fp_after, fp, "pattern changed");
         let retired = out.retired.expect("structural change retires");
         assert!(retired.plans >= 1, "old plan dropped: {retired:?}");
-        // The memo slot was already stamp-revalidated in place when the
-        // post-apply fingerprint was taken (unshared Arc, same address),
-        // so nothing keyed by the old fingerprint remains to retire.
-        assert_eq!(retired.memo_entries, 0);
-        assert_eq!(rt.memo_stats().stamp_mismatches, 1);
+        // The rebuild minted a new structure id, so the post-apply
+        // fingerprint was a memo miss and the old id's entry is retired.
+        assert_eq!(retired.memo_entries, 1);
+        assert_eq!(rt.memo_stats().stamp_mismatches, 0);
     }
 
     #[test]

@@ -79,16 +79,11 @@ impl ShardGroupConfig {
     }
 }
 
-/// A split-mode partition of one matrix, cached per matrix identity so
-/// repeat tenants pay the partitioning cost once (the group-level
-/// analogue of the runtime's plan cache).
+/// A split-mode partition of one matrix, cached by its
+/// [`Csr::value_epoch`] so repeat tenants pay the partitioning cost
+/// once (the group-level analogue of the runtime's plan cache).
 #[derive(Debug)]
 struct SplitEntry {
-    /// The source's [`Csr::value_epoch`] when it was partitioned. The
-    /// cache key is the source's address, which an in-place mutation
-    /// keeps and a later matrix can reuse; a different epoch means the
-    /// sub-matrices hold stale values.
-    epoch: u64,
     subs: Vec<Arc<Csr<f32>>>,
     kind: ScheduleKind,
     halo_bytes: Vec<u64>,
@@ -123,7 +118,10 @@ pub struct ShardGroup {
     ring: HashRing,
     shards: Vec<Runtime>,
     link: MultiGpuSpec,
-    splits: HashMap<usize, SplitEntry>,
+    /// Split partitions keyed by the source's value epoch: equal epochs
+    /// mean equal structure and equal values. Bounded at the shards'
+    /// `plan_cache_capacity`, cleared when a new entry would pass it.
+    splits: HashMap<u64, SplitEntry>,
     sink: Option<Arc<dyn TraceSink>>,
 }
 
@@ -194,15 +192,15 @@ impl ShardGroup {
         }
     }
 
-    /// Partition (or recall) the split-mode plan for `a`, re-partitioning
-    /// when `a`'s values changed since the cached partition was cut.
-    fn split_entry(&mut self, a: &Arc<Csr<f32>>) -> &SplitEntry {
-        let key = Arc::as_ptr(a) as usize;
-        let epoch = a.value_epoch();
-        if self.splits.get(&key).is_none_or(|e| e.epoch != epoch) {
-            let plan = ShardPlan::partition(a.as_ref(), self.shards.len(), self.cfg.strategy);
+    /// Partition (or recall) the split-mode plan for `a`. A matrix
+    /// rebuilt, or written through `values_mut`, since the last cut has
+    /// a new value epoch and so gets a new partition.
+    fn split_entry(&mut self, a: &Csr<f32>) -> &SplitEntry {
+        let key = a.value_epoch();
+        if !self.splits.contains_key(&key) {
+            let plan = ShardPlan::partition(a, self.shards.len(), self.cfg.strategy);
             let subs = (0..plan.num_shards())
-                .map(|s| Arc::new(plan.submatrix(a.as_ref(), s)))
+                .map(|s| Arc::new(plan.submatrix(a, s)))
                 .collect();
             let halo_bytes: Vec<u64> = plan.shards.iter().map(|s| s.halo_bytes()).collect();
             let bounding_shard = halo_bytes
@@ -210,10 +208,12 @@ impl ShardGroup {
                 .enumerate()
                 .max_by_key(|&(_, &b)| b)
                 .map_or(0, |(i, _)| i as u32);
+            if self.splits.len() >= self.cfg.runtime.plan_cache_capacity {
+                self.splits.clear();
+            }
             self.splits.insert(
                 key,
                 SplitEntry {
-                    epoch,
                     subs,
                     kind: pinned_schedule(a),
                     total_halo: plan.total_halo_bytes(),
@@ -611,6 +611,41 @@ mod tests {
         assert!(shard.halo_bytes > 0, "4-way powerlaw splits must have ghosts");
         assert!(out.report.reconciles());
         assert!(out.report.cache.hits > 0, "repeat tenants must hit shard caches");
+    }
+
+    #[test]
+    fn split_cache_stays_bounded_under_structural_mutation() {
+        // Every rebuild mints a new value epoch, so without the bound the
+        // split cache would grow by one dead entry per round.
+        let mut cfg = ShardGroupConfig::new(2);
+        cfg.runtime.keep_results = true;
+        cfg.runtime.plan_cache_capacity = 4;
+        let mut grp = ShardGroup::new(GpuSpec::test_tiny(), cfg.clone());
+        let mut rt = Runtime::new(GpuSpec::test_tiny(), cfg.runtime);
+        let mut a = Arc::new(sparse::gen::powerlaw(300, 300, 3_000, 1.8, 5));
+        let mut stream = sparse::delta::EvolvingStream::new(3, 0.5);
+        let bits = |out: &ServeResult| -> Vec<u32> {
+            let y = out.completions[0].y.as_ref().expect("keep_results");
+            y.iter().map(|v| v.to_bits()).collect()
+        };
+        for round in 0..12u64 {
+            let batch = stream.next_batch(&a, 16);
+            let out = runtime::mutate(&mut rt, &mut a, &batch).unwrap();
+            assert_eq!(out.path, sparse::delta::ApplyPath::Rebuilt);
+            let req = [Request {
+                id: round,
+                tenant: 0,
+                matrix: Arc::clone(&a),
+                x: sparse::dense::test_vector(a.cols()).into(),
+                arrival_ms: 0.0,
+            }];
+            let got = grp.serve_split(&req).unwrap();
+            let want = ShardGroup::new(GpuSpec::test_tiny(), cfg.clone())
+                .serve_split(&req)
+                .unwrap();
+            assert_eq!(bits(&got), bits(&want), "round {round}");
+            assert!(grp.splits.len() <= 4, "round {round}: {}", grp.splits.len());
+        }
     }
 
     #[test]

@@ -33,16 +33,14 @@ pub fn coo_to_csr<V: Copy>(coo: &Coo<V>) -> Csr<V> {
         values[dst] = v;
         cursor[r as usize] += 1;
     }
-    // Sort each row segment by column to reach canonical CSR.
-    let mut result = Csr::from_parts(coo.rows(), coo.cols(), row_offsets, col_indices, values)
-        .expect("scatter preserves CSR invariants");
-    sort_rows_by_column(&mut result);
-    result
+    sort_rows_by_column(&row_offsets, &mut col_indices, &mut values);
+    Csr::from_parts(coo.rows(), coo.cols(), row_offsets, col_indices, values)
+        .expect("scatter preserves CSR invariants")
 }
 
-fn sort_rows_by_column<V: Copy>(csr: &mut Csr<V>) {
-    let offsets = csr.row_offsets().to_vec();
-    let (cols, vals) = csr.cols_vals_mut();
+/// Sort each row segment of `cols`/`vals` by column (stable, so
+/// duplicate coordinates keep their COO order).
+fn sort_rows_by_column<V: Copy>(offsets: &[usize], cols: &mut [u32], vals: &mut [V]) {
     let mut scratch: Vec<(u32, V)> = Vec::new();
     for w in offsets.windows(2) {
         let range = w[0]..w[1];

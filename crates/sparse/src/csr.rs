@@ -9,12 +9,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{Error, Result};
 
-/// Process-global source of value epochs (see [`Csr::value_epoch`]).
-static NEXT_VALUE_EPOCH: AtomicU64 = AtomicU64::new(1);
+/// Process-global source of structure ids and value epochs (see
+/// [`Csr::structure_id`] and [`Csr::value_epoch`]).
+static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
-/// A globally fresh epoch — never handed out twice in one process.
-fn fresh_value_epoch() -> u64 {
-    NEXT_VALUE_EPOCH.fetch_add(1, Ordering::Relaxed)
+/// A globally fresh token — never handed out twice in one process.
+fn fresh_token() -> u64 {
+    NEXT_TOKEN.fetch_add(1, Ordering::Relaxed)
 }
 
 /// A CSR sparse matrix with `V`-typed values.
@@ -25,18 +26,18 @@ pub struct Csr<V = f32> {
     row_offsets: Vec<usize>,
     col_indices: Vec<u32>,
     values: Vec<V>,
-    /// Value-content epoch: a process-globally-unique token minted at
-    /// construction and re-minted by every mutable borrow of the values
-    /// array. Two `Csr`s with equal sparsity pattern *and* equal epoch
-    /// provably hold identical values (a clone copies the epoch; any
-    /// later mutation of either side mints a fresh one), so caches of
-    /// value-dependent derived data (converted operands) can validate a
-    /// pattern-keyed entry in O(1) instead of hashing `nnz` floats.
-    /// Excluded from `PartialEq`: equality is about matrix content, and
-    /// distinct constructions of the same matrix get distinct epochs.
+    /// Row-structure identity, minted at construction and never
+    /// re-minted: no `&mut` access reaches the shape, offsets or
+    /// columns, so the structure a `structure_id` names never changes.
+    structure_id: u64,
+    /// Value-content epoch, minted at construction and re-minted by
+    /// [`Csr::values_mut`], the only `&mut` access there is.
     value_epoch: u64,
 }
 
+/// Equality is about matrix content: the structure id and the value
+/// epoch are left out, since distinct constructions of one matrix get
+/// distinct ones.
 impl<V: PartialEq> PartialEq for Csr<V> {
     fn eq(&self, other: &Self) -> bool {
         self.rows == other.rows
@@ -86,7 +87,8 @@ impl<V: Copy> Csr<V> {
             row_offsets,
             col_indices,
             values,
-            value_epoch: fresh_value_epoch(),
+            structure_id: fresh_token(),
+            value_epoch: fresh_token(),
         })
     }
 
@@ -98,13 +100,14 @@ impl<V: Copy> Csr<V> {
             row_offsets: vec![0; rows + 1],
             col_indices: Vec::new(),
             values: Vec::new(),
-            value_epoch: fresh_value_epoch(),
+            structure_id: fresh_token(),
+            value_epoch: fresh_token(),
         }
     }
 
-    /// Build from (row, col, value) triplets; duplicates are summed where
-    /// `V: AddAssign` is not required because duplicates are kept adjacent
-    /// — use [`crate::Coo`] if you need dedup-with-sum semantics.
+    /// Build from (row, col, value) triplets, sorted row-major. Duplicate
+    /// coordinates are kept, adjacent, not summed — use [`crate::Coo`]
+    /// if you need dedup-with-sum semantics.
     pub fn from_triplets(
         rows: usize,
         cols: usize,
@@ -158,31 +161,33 @@ impl<V: Copy> Csr<V> {
         &self.values
     }
 
-    /// Mutable values (structure stays fixed). Mints a fresh
-    /// [`value epoch`](Self::value_epoch): any cache holding derived
+    /// Mutable values, the only `&mut` access to a `Csr`: the row
+    /// structure stays fixed. Mints a fresh
+    /// [`value epoch`](Self::value_epoch), so any cache holding derived
     /// value data for this matrix sees its entry invalidated.
     pub fn values_mut(&mut self) -> &mut [V] {
-        self.value_epoch = fresh_value_epoch();
+        self.value_epoch = fresh_token();
         &mut self.values
     }
 
-    /// The matrix's value-content epoch. Process-globally unique at
-    /// construction; every [`Self::values_mut`] / internal mutable
-    /// borrow mints a fresh one. Clones share their source's epoch
-    /// (their values are identical at that instant), so *equal epochs
-    /// imply equal values* for matrices with the same sparsity pattern
-    /// — the O(1) validation token for pattern-keyed caches of
-    /// value-dependent data.
-    pub fn value_epoch(&self) -> u64 {
-        self.value_epoch
+    /// The matrix's row-structure identity: shape, row offsets and
+    /// column indices. Process-globally unique at construction, shared
+    /// by clones, and kept by [`Self::values_mut`], so *equal ids imply
+    /// equal structure* — an exact key for caches of pattern-derived
+    /// data. A rebuild is a new construction and gets a new id, even
+    /// for the same content.
+    pub fn structure_id(&self) -> u64 {
+        self.structure_id
     }
 
-    /// Mutable access to column indices and values together, for in-place
-    /// per-row reordering (crate-internal; invariants are re-checked by
-    /// callers). Mints a fresh value epoch like [`Self::values_mut`].
-    pub(crate) fn cols_vals_mut(&mut self) -> (&mut [u32], &mut [V]) {
-        self.value_epoch = fresh_value_epoch();
-        (&mut self.col_indices, &mut self.values)
+    /// The matrix's value-content epoch. Process-globally unique at
+    /// construction and re-minted by every [`Self::values_mut`]. Clones
+    /// share their source's epoch, so *equal epochs imply equal
+    /// structure and equal values* — an exact key for caches of
+    /// value-dependent data. A false mismatch (the same content built
+    /// twice) only costs a recomputation.
+    pub fn value_epoch(&self) -> u64 {
+        self.value_epoch
     }
 
     /// Nonzero count of row `r`.
@@ -242,7 +247,8 @@ impl<V: Copy> Csr<V> {
             row_offsets,
             col_indices: self.col_indices[base..end].to_vec(),
             values: self.values[base..end].to_vec(),
-            value_epoch: fresh_value_epoch(),
+            structure_id: fresh_token(),
+            value_epoch: fresh_token(),
         }
     }
 }
@@ -409,18 +415,23 @@ mod tests {
     #[test]
     fn value_epoch_tracks_value_content() {
         let a = sample();
-        // A clone holds identical values, so it shares the epoch.
+        // A clone holds identical values and structure, so it shares the
+        // epoch and the structure id.
         let mut b = a.clone();
         assert_eq!(a.value_epoch(), b.value_epoch());
-        // Mutating the clone mints a fresh epoch; the original keeps its
-        // own, and the two matrices are now distinguishable in O(1).
+        assert_eq!(a.structure_id(), b.structure_id());
+        // Mutating the clone mints a fresh epoch but keeps the structure
+        // id; the original keeps its own epoch, and the two matrices are
+        // now distinguishable in O(1).
         b.values_mut()[0] = 9.0;
         assert_ne!(a.value_epoch(), b.value_epoch());
-        // Distinct constructions never share an epoch, even when the
-        // content is identical — a false mismatch only costs a cache
-        // re-conversion, never a stale serve.
+        assert_eq!(a.structure_id(), b.structure_id());
+        // Distinct constructions never share an epoch or an id, even when
+        // the content is identical — a false mismatch only costs a cache
+        // recomputation, never a stale serve.
         let c = sample();
         assert_ne!(a.value_epoch(), c.value_epoch());
+        assert_ne!(a.structure_id(), c.structure_id());
         // Equality ignores the epoch: same content, equal matrices.
         assert_eq!(a, c);
         assert_ne!(a, b);

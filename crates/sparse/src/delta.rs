@@ -293,6 +293,7 @@ mod tests {
         let mut a = sample();
         let offsets_before = a.row_offsets().to_vec();
         let epoch_before = a.value_epoch();
+        let id_before = a.structure_id();
         let batch = DeltaBatch {
             inserts: vec![(0, 2, 20.0), (2, 1, 40.0)],
             deletes: vec![],
@@ -303,11 +304,13 @@ mod tests {
         assert_eq!(a.row_offsets(), &offsets_before[..]);
         assert_eq!(a.values(), &[1.0, 20.0, 3.0, 40.0, 5.0]);
         assert_ne!(a.value_epoch(), epoch_before, "patch must bump the epoch");
+        assert_eq!(a.structure_id(), id_before, "patch keeps the id");
     }
 
     #[test]
     fn structural_batch_rebuilds_and_merges() {
         let mut a = sample();
+        let id_before = a.structure_id();
         let batch = DeltaBatch {
             inserts: vec![(1, 1, 7.0), (0, 2, 9.0)],
             deletes: vec![(2, 1), (0, 0)],
@@ -322,6 +325,7 @@ mod tests {
         .unwrap();
         assert_eq!(a, want);
         assert_eq!(out.touched, 5 + 4);
+        assert_ne!(a.structure_id(), id_before, "rebuild mints a new id");
     }
 
     #[test]

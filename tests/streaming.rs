@@ -9,7 +9,7 @@
 //!   validation (the stale-value bugfix);
 //! * autotuner sweep state is keyed by fingerprint → explicit
 //!   retirement on structural mutation, bounding the key table;
-//! * the fingerprint memo is keyed by address → recency-horizon
+//! * the fingerprint memo is keyed by structure id → recency-horizon
 //!   eviction that keeps hot entries under churn;
 //! * plan-cache entries are pattern-only → retired on structural
 //!   mutation, and the tuner re-converges on the new pattern.
@@ -208,7 +208,7 @@ fn memo_eviction_keeps_hot_entries_under_churn() {
     let churn_count = 1_500;
     let mut rt = Runtime::new(GpuSpec::test_tiny(), RuntimeConfig::default());
     let hot = Arc::new(sparse::gen::uniform(64, 64, 512, 1));
-    // Churn matrices stay alive so their addresses are distinct.
+    // Every churn matrix is its own construction, so its own memo key.
     let churn: Vec<Arc<Csr<f32>>> = (0..churn_count)
         .map(|i| Arc::new(sparse::gen::banded(8 + (i % 7), 2, i as u64)))
         .collect();
