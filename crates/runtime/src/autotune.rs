@@ -52,10 +52,6 @@ pub struct TuneConfig {
     /// explores). Higher converges faster; lower keeps pre-promotion
     /// latency closer to best-known.
     pub epsilon: f64,
-    /// Seed for the exploration-order shuffle and the epsilon draws.
-    /// The tuner has its own generator so enabling it never perturbs
-    /// the runtime's retry/chaos stream.
-    pub seed: u64,
     /// Maximum number of plan keys tracked; keys arriving after the
     /// table is full are served by the static heuristic (bounding tuner
     /// memory on long-tailed corpora).
@@ -71,12 +67,16 @@ impl Default for TuneConfig {
         Self {
             enabled: false,
             epsilon: 0.4,
-            seed: 0x70e5,
             max_keys: 256,
             formats: true,
         }
     }
 }
+
+/// Seed for the exploration-order shuffle and the epsilon draws. The
+/// tuner has its own generator so enabling it never perturbs the
+/// runtime's retry/chaos stream.
+const TUNE_SEED: u64 = 0x70e5;
 
 /// What the tuner asks the caller to do for one plan-cache miss.
 #[derive(Debug, Clone)]
@@ -152,10 +152,10 @@ pub(crate) struct Autotuner {
 }
 
 impl Autotuner {
-    /// A tuner with its own generator seeded from `cfg.seed`.
+    /// A tuner with its own generator, seeded from [`TUNE_SEED`].
     pub fn new(cfg: TuneConfig) -> Self {
         Self {
-            rng: Prng::seed_from_u64(cfg.seed),
+            rng: Prng::seed_from_u64(TUNE_SEED),
             cfg,
             states: HashMap::new(),
             explores: 0,
@@ -393,7 +393,6 @@ mod tests {
     fn same_seed_reproduces_the_same_choice_sequence() {
         let cfg = TuneConfig {
             enabled: true,
-            seed: 99,
             ..TuneConfig::default()
         };
         let run = || {

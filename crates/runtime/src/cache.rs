@@ -1,18 +1,22 @@
-//! The plan cache: (kernel, fingerprint) → prepared [`KernelPlan`],
-//! LRU-bounded.
+//! The runtime's one eviction rule: [`Lru`], a map bounded by evicting
+//! its least-recently-used entry, behind the plan cache, the
+//! fingerprint memo, the prepared-operand cache and the shard group's
+//! split cache.
 //!
-//! Preparing a plan costs real (simulated) time — LRB's binning launches,
-//! merge-path's partition build — and serving workloads are heavily
-//! skewed: a few popular matrices receive most requests. Memoizing the
-//! prepared plan per [`PlanKey`] turns that skew into wins: a cache
-//! hit skips schedule selection *and* setup, and the launch runs the
-//! cheaper prepartitioned path. The plan type is the dispatch engine's
-//! kernel-agnostic [`KernelPlan`], so one cache serves SpMV, SpMM and
-//! BFS side by side — the kernel name in the key keeps a matrix's SpMV
-//! plan from answering for its SpMM plan (their artifacts differ even on
-//! the same sparsity pattern).
+//! The plan cache maps (kernel, format, fingerprint) → prepared
+//! [`KernelPlan`]. Preparing a plan costs real (simulated) time — LRB's
+//! binning launches, merge-path's partition build — and serving
+//! workloads are heavily skewed: a few popular matrices receive most
+//! requests. Memoizing the prepared plan per [`PlanKey`] turns that skew
+//! into wins: a cache hit skips schedule selection *and* setup, and the
+//! launch runs the cheaper prepartitioned path. The plan type is the
+//! dispatch engine's kernel-agnostic [`KernelPlan`], so one cache serves
+//! SpMV, SpMM and BFS side by side — the kernel name in the key keeps a
+//! matrix's SpMV plan from answering for its SpMM plan (their artifacts
+//! differ even on the same sparsity pattern).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use loops::dispatch::{KernelKind, KernelPlan};
@@ -36,12 +40,12 @@ pub struct PlanKey {
     pub fp: Fingerprint,
 }
 
-/// Hit/miss/eviction counters for a serving run.
+/// Hit/miss/eviction counters of one [`Lru`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a live entry.
+    /// Lookups that found a usable entry.
     pub hits: usize,
-    /// Lookups that missed (and inserted after preparing).
+    /// Lookups that found none (the caller computes and inserts).
     pub misses: usize,
     /// Entries dropped to stay within capacity.
     pub evictions: usize,
@@ -59,18 +63,25 @@ impl CacheStats {
     }
 }
 
-/// LRU cache of prepared plans keyed by kernel + matrix fingerprint.
+/// The plan cache: prepared plans keyed by kernel, format and matrix
+/// fingerprint.
+pub type PlanCache = Lru<PlanKey, Arc<KernelPlan>>;
+
+/// A map holding at most `capacity` entries, evicting the
+/// least-recently-used one to make room. Every lookup and insert takes a
+/// fresh value of one logical clock, so the victim is unique and never
+/// depends on `HashMap` iteration order: eviction is deterministic.
 #[derive(Debug)]
-pub struct PlanCache {
+pub struct Lru<K, V> {
     capacity: usize,
     clock: u64,
-    entries: HashMap<PlanKey, (Arc<KernelPlan>, u64)>,
+    entries: HashMap<K, (V, u64)>,
     stats: CacheStats,
 }
 
-impl PlanCache {
-    /// A cache holding at most `capacity` plans (capacity 0 disables
-    /// caching: every lookup misses).
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    /// An empty map holding at most `capacity` entries (capacity 0
+    /// keeps nothing: every lookup misses).
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
@@ -80,25 +91,22 @@ impl PlanCache {
         }
     }
 
-    /// Look up a plan, counting the hit or miss.
-    pub fn get(&mut self, key: &PlanKey) -> Option<Arc<KernelPlan>> {
+    /// Look up `key`, counting the hit or miss; a hit becomes the most
+    /// recently used entry.
+    pub fn get(&mut self, key: &K) -> Option<&V> {
         self.get_if(key, |_| true)
     }
 
-    /// Look up a plan the caller can use: a live entry that fails
+    /// Look up an entry the caller can use: a live entry that fails
     /// `accept` counts as a miss, like an absent one (the caller
-    /// prepares a replacement).
-    pub(crate) fn get_if(
-        &mut self,
-        key: &PlanKey,
-        accept: impl FnOnce(&KernelPlan) -> bool,
-    ) -> Option<Arc<KernelPlan>> {
+    /// computes a replacement and inserts it over the old one).
+    pub fn get_if(&mut self, key: &K, accept: impl FnOnce(&V) -> bool) -> Option<&V> {
         self.clock += 1;
         match self.entries.get_mut(key) {
-            Some((plan, used)) if accept(plan) => {
+            Some((value, used)) if accept(value) => {
                 *used = self.clock;
                 self.stats.hits += 1;
-                Some(Arc::clone(plan))
+                Some(value)
             }
             _ => {
                 self.stats.misses += 1;
@@ -107,42 +115,40 @@ impl PlanCache {
         }
     }
 
-    /// Insert a freshly prepared plan, evicting the least-recently-used
-    /// entry if over capacity.
-    pub fn insert(&mut self, key: PlanKey, plan: Arc<KernelPlan>) {
+    /// Insert (or replace) `key`'s entry as the most recently used one,
+    /// evicting the least-recently-used entry if over capacity.
+    pub fn insert(&mut self, key: K, value: V) {
         if self.capacity == 0 {
             return;
         }
         self.clock += 1;
-        self.entries.insert(key, (plan, self.clock));
-        while self.entries.len() > self.capacity {
+        self.entries.insert(key, (value, self.clock));
+        if self.entries.len() > self.capacity {
             let lru = self
                 .entries
                 .iter()
                 .min_by_key(|(_, (_, used))| *used)
                 .map(|(k, _)| *k)
-                .expect("non-empty");
+                .expect("over capacity, so non-empty");
             self.entries.remove(&lru);
             self.stats.evictions += 1;
         }
     }
 
-    /// Drop a cached plan (a launch through it failed, so it is treated
-    /// as poisoned and the next request re-prepares). Not counted as an
-    /// eviction — those measure capacity pressure.
-    pub fn remove(&mut self, key: &PlanKey) -> bool {
+    /// Drop `key`'s entry (for example a plan whose launch failed, so
+    /// it is treated as poisoned). Not counted as an eviction — those
+    /// measure capacity pressure.
+    pub fn remove(&mut self, key: &K) -> bool {
         self.entries.remove(key).is_some()
     }
 
-    /// Drop every plan prepared over fingerprint `fp`, across all
-    /// kernels and formats: after a structural mutation the pattern
-    /// those plans were partitioned for no longer exists, so the
-    /// entries can never hit again and only crowd out live plans.
-    /// Returns how many were dropped. Not counted as evictions — those
-    /// measure capacity pressure.
-    pub fn retire_fingerprint(&mut self, fp: &Fingerprint) -> usize {
+    /// Keep only the entries `keep` accepts and return how many were
+    /// dropped: retirement of entries that can never hit again, such as
+    /// everything keyed by a fingerprint a structural mutation killed.
+    /// Not counted as evictions.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|k, _| k.fp != *fp);
+        self.entries.retain(|k, (v, _)| keep(k, v));
         before - self.entries.len()
     }
 
@@ -151,7 +157,7 @@ impl PlanCache {
         self.entries.len()
     }
 
-    /// True if no plans are cached.
+    /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }

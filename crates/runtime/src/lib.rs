@@ -18,7 +18,11 @@
 //!   does the lookup, the poisoned-plan fallback and the [`autotune`]
 //!   sweep for SpMV requests inside [`Runtime::serve`], for
 //!   [`Runtime::run_spmm`] and [`Runtime::run_bfs`], and (pinned, no
-//!   tuner) for [`Runtime::run_spmv_pinned`].
+//!   tuner) for [`Runtime::run_spmv_pinned`]. The plan cache, the
+//!   fingerprint memo and the prepared-operand cache are each a
+//!   [`cache::Lru`], the one eviction rule; the autotuner's key table is
+//!   the exception, refusing new keys when full, because evicting sweep
+//!   state would change which cells get promoted.
 //! * **Small-request batcher** ([`batch`]) — tiny SpMVs wait up to a
 //!   short window and fuse into one block-diagonal launch, paying the
 //!   launch overhead once.
@@ -28,7 +32,8 @@
 //!   latency).
 //!
 //! [`Runtime::serve`] drives a request stream through all of this
-//! deterministically and returns per-request [`Completion`]s plus a
+//! deterministically and returns per-request [`Completion`]s, one
+//! [`DroppedRequest`] per request it did not serve, and a
 //! [`RuntimeReport`] (cache hit rate, p50/p99 latency, per-device
 //! occupancy, throughput).
 
@@ -43,7 +48,6 @@ pub mod split;
 pub mod stream;
 pub mod workload;
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -61,6 +65,7 @@ use sparse::{Csr, DenseMatrix, FormatKind, Prng};
 use trace::{CounterKind, RequestPhase, TenantOutcome, TraceEvent, TraceSink, TunePhase};
 
 use autotune::{Autotuner, TuneAction};
+use cache::Lru;
 
 pub use autotune::{TuneConfig, TuneStats};
 pub use cache::{CacheStats, PlanCache, PlanKey};
@@ -91,12 +96,9 @@ pub struct RuntimeConfig {
     pub policy: QueuePolicy,
     /// How long a tiny request may wait for batch-mates (simulated ms).
     pub batch_window_ms: f64,
-    /// Maximum tiny requests fused into one launch (≤ 1 disables
-    /// batching).
+    /// Maximum tiny requests (on matrices of at most 4,096 nonzeros)
+    /// fused into one launch (≤ 1 disables batching).
     pub batch_max: usize,
-    /// Requests on matrices with at most this many nonzeros are "tiny"
-    /// and eligible for batching.
-    pub tiny_nnz: usize,
     /// Plan-cache capacity in entries (0 disables caching).
     pub plan_cache_capacity: usize,
     /// Keep each request's result vector in its [`Completion`] (memory
@@ -107,24 +109,6 @@ pub struct RuntimeConfig {
     /// dropped and counted in [`RuntimeReport::deadline_missed`].
     /// `INFINITY` (the default) disables deadlines.
     pub deadline_ms: f64,
-    /// Failed dispatch attempts retried per request before giving up
-    /// (the request then counts in [`RuntimeReport::failed`]).
-    pub max_retries: u32,
-    /// Base retry backoff (simulated ms); attempt *n* waits
-    /// `retry_backoff_ms · 2^(n-1)`, scaled by jitter.
-    pub retry_backoff_ms: f64,
-    /// Jitter fraction in `[0, 1]`: each backoff is multiplied by
-    /// `1 + retry_jitter · u` with `u` drawn from the runtime's seeded
-    /// stream, decorrelating retry storms without losing determinism.
-    pub retry_jitter: f64,
-    /// Seed for the retry-jitter / chaos stream.
-    pub retry_seed: u64,
-    /// Consecutive dispatch failures after which a device is evicted
-    /// from the pool for [`Self::cooldown_ms`].
-    pub evict_after: u32,
-    /// How long an evicted device sits out before re-admission
-    /// (simulated ms). Devices lost to a kill fault never return.
-    pub cooldown_ms: f64,
     /// Chaos knob: probability that preparing a [`KernelPlan`] fails,
     /// exercising the graceful-degradation path (serve via the
     /// heuristic schedule, skip caching). 0.0 (the default) disables it.
@@ -150,16 +134,9 @@ impl Default for RuntimeConfig {
             policy: QueuePolicy::Block,
             batch_window_ms: 0.05,
             batch_max: 8,
-            tiny_nnz: 4_096,
             plan_cache_capacity: 128,
             keep_results: false,
             deadline_ms: f64::INFINITY,
-            max_retries: 3,
-            retry_backoff_ms: 0.05,
-            retry_jitter: 0.5,
-            retry_seed: 0x5eed,
-            evict_after: 3,
-            cooldown_ms: 5.0,
             plan_fail_prob: 0.0,
             tune: TuneConfig::default(),
             host_backend: None,
@@ -252,6 +229,27 @@ pub enum DropReason {
     /// Every dispatch attempt failed (retries exhausted or no device
     /// left alive).
     Failed,
+}
+
+impl DropReason {
+    /// The per-tenant outcome a drop for this reason is traced as.
+    pub fn outcome(self) -> TenantOutcome {
+        match self {
+            Self::Rejected => TenantOutcome::Rejected,
+            Self::DeadlineMissed => TenantOutcome::DeadlineMiss,
+            Self::Failed => TenantOutcome::Failed,
+        }
+    }
+
+    /// The request phase a drop for this reason is traced as; a failed
+    /// request's last phase is its final retry, so it gets none.
+    fn phase(self) -> Option<RequestPhase> {
+        match self {
+            Self::Rejected => Some(RequestPhase::Reject),
+            Self::DeadlineMissed => Some(RequestPhase::DeadlineMiss),
+            Self::Failed => None,
+        }
+    }
 }
 
 /// One dropped request: the runtime accounts for every submission, so
@@ -498,45 +496,93 @@ struct DeviceHealth {
     dead: bool,
 }
 
-/// Counters one `serve` call accumulates across its submissions.
-#[derive(Debug, Default)]
-struct ServeCounters {
+/// Every request outcome of one [`Runtime::serve`] call: completions,
+/// drops, the in-flight window and the report's counters. A drop is
+/// listed, counted and traced here and nowhere else.
+#[derive(Default)]
+struct Ledger {
+    sink: Option<Arc<dyn TraceSink>>,
+    completions: Vec<Completion>,
+    /// The drops, in decision order; the report's `rejected`,
+    /// `deadline_missed` and `failed` counts are read off this list.
+    dropped: Vec<DroppedRequest>,
+    /// End times of admitted jobs that may still be running.
+    in_flight: Vec<f64>,
     retries: usize,
     failovers: usize,
-    deadline_missed: usize,
-    failed: usize,
     plan_fallbacks: usize,
     device_evictions: usize,
+    batches: usize,
+    batched_requests: usize,
 }
 
-/// How one submission (solo request or fused batch) resolved.
-enum SubmitOutcome {
-    /// The job ran; one completion per member.
-    Done(Vec<Completion>),
-    /// The whole job was dropped at `ts_ms` for this reason.
-    Dropped(DropReason, f64),
+impl Ledger {
+    /// Record `members` as dropped at `ts_ms` for `reason`: one
+    /// [`DroppedRequest`] each and, per member, its request phase (none
+    /// for `Failed`) then its tenant sample.
+    fn drop<'r>(
+        &mut self,
+        members: impl IntoIterator<Item = &'r Request>,
+        reason: DropReason,
+        ts_ms: f64,
+    ) {
+        for r in members {
+            self.dropped.push(DroppedRequest { id: r.id, ts_ms, reason });
+            if let Some(sink) = &self.sink {
+                if let Some(phase) = reason.phase() {
+                    sink.event(&TraceEvent::Request { id: r.id, phase, ts_ms });
+                }
+                sink.event(&TraceEvent::TenantSample {
+                    tenant: r.tenant,
+                    ts_ms,
+                    latency_ms: ts_ms - r.arrival_ms,
+                    outcome: reason.outcome(),
+                });
+            }
+        }
+    }
+
+    /// Drops recorded for `reason`.
+    fn count(&self, reason: DropReason) -> usize {
+        self.dropped.iter().filter(|d| d.reason == reason).count()
+    }
 }
 
-/// Fingerprint-memo bound: past this many entries, entries cold for at
-/// least a full cap's worth of lookups are evicted, falling back to a
-/// clear when everything is hot (see [`Runtime::fingerprint`]).
+/// Requests on matrices with at most this many nonzeros are "tiny" and
+/// eligible for batching.
+const TINY_NNZ: usize = 4_096;
+
+/// Failed dispatch attempts retried per request before giving up (the
+/// request then counts in [`RuntimeReport::failed`]).
+const MAX_RETRIES: u32 = 3;
+
+/// Base retry backoff (simulated ms): attempt *n* waits
+/// `RETRY_BACKOFF_MS · 2^(n-1)`, scaled by jitter.
+const RETRY_BACKOFF_MS: f64 = 0.05;
+
+/// Jitter fraction: each backoff is multiplied by `1 + RETRY_JITTER · u`
+/// with `u` drawn from the runtime's seeded stream, decorrelating retry
+/// storms without losing determinism.
+const RETRY_JITTER: f64 = 0.5;
+
+/// Seed of the runtime's retry-jitter / chaos stream.
+const RETRY_SEED: u64 = 0x5eed;
+
+/// Consecutive dispatch failures after which a device is evicted from
+/// the pool for [`COOLDOWN_MS`].
+const EVICT_AFTER: u32 = 3;
+
+/// How long an evicted device sits out before re-admission (simulated
+/// ms). Devices lost to a kill fault never return.
+const COOLDOWN_MS: f64 = 5.0;
+
+/// Fingerprint-memo capacity (see [`Runtime::fingerprint`]).
 const FP_MEMO_CAP: usize = 1024;
 
-/// Prepared-operand cache bound: past this many entries the cache is
-/// cleared outright (it is a pure memoization of deterministic
-/// conversions — the only cost of clearing is re-converting on the next
-/// format serve).
+/// Prepared-operand cache capacity. The cache is a pure memoization of
+/// deterministic conversions, so an eviction costs only a re-conversion
+/// on that operand's next format serve.
 const OPERAND_CACHE_CAP: usize = 64;
-
-/// One fingerprint-memo slot (see [`Runtime::fingerprint`]).
-#[derive(Debug, Clone, Copy)]
-struct MemoEntry {
-    fp: Fingerprint,
-    /// Memo-clock value of this entry's last hit or insert. Entries
-    /// that fall a full [`FP_MEMO_CAP`] lookups behind are cold and
-    /// evictable.
-    last_used: u64,
-}
 
 /// Counters for the fingerprint memo (see [`Runtime::memo_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -616,16 +662,13 @@ pub struct Runtime {
     cache: PlanCache,
     /// Fingerprints memoized by [`Csr::structure_id`] (see
     /// [`Runtime::fingerprint`]).
-    fp_memo: HashMap<u64, MemoEntry>,
-    /// Lookup counter driving the memo's recency horizon.
-    memo_clock: u64,
-    memo_stats: MemoStats,
+    fp_memo: Lru<u64, Fingerprint>,
     /// Converted operands memoized by `(fingerprint, format)` and
     /// validated against the source matrix's value epoch: the
     /// conversion is deterministic and its modeled cost is charged to
     /// the tuner exactly once (amortized), so warm format serves skip
     /// it entirely.
-    operands: HashMap<(Fingerprint, FormatKind), PreparedEntry>,
+    operands: Lru<(Fingerprint, FormatKind), PreparedEntry>,
     tuner: Autotuner,
     sink: Option<Arc<dyn TraceSink>>,
     /// Seeded stream for retry jitter and chaos draws. Healthy serves
@@ -858,7 +901,7 @@ impl Runtime {
         Self {
             cache: PlanCache::new(cfg.plan_cache_capacity),
             health: vec![DeviceHealth::default(); cfg.devices],
-            rng: Prng::seed_from_u64(cfg.retry_seed),
+            rng: Prng::seed_from_u64(RETRY_SEED),
             tuner: Autotuner::new(cfg.tune),
             cfg,
             spec,
@@ -866,10 +909,8 @@ impl Runtime {
             heuristic,
             devices,
             streams,
-            fp_memo: HashMap::new(),
-            memo_clock: 0,
-            memo_stats: MemoStats::default(),
-            operands: HashMap::new(),
+            fp_memo: Lru::new(FP_MEMO_CAP),
+            operands: Lru::new(OPERAND_CACHE_CAP),
             sink: None,
         }
     }
@@ -933,47 +974,27 @@ impl Runtime {
     /// mutation reaches the structure it names, and a rebuilt matrix
     /// gets a new one.
     ///
-    /// The memo is bounded at `FP_MEMO_CAP` entries. Overflow evicts
-    /// only *cold* entries — those not touched within the last
-    /// `FP_MEMO_CAP` lookups — so a mutation-heavy stream that churns
-    /// through one-shot matrices cannot wipe the hot working set the
-    /// way the old clear-on-full did. The recency horizon is a
-    /// `retain` predicate on per-entry counters, never an
-    /// iteration-order choice, so eviction is deterministic despite
-    /// `HashMap` iteration order varying across processes. If every
-    /// entry is hot the memo falls back to a full clear (pure
-    /// memoization — the only cost is re-hashing on the next request).
+    /// The memo is an [`Lru`] of `FP_MEMO_CAP` entries, so a
+    /// mutation-heavy stream that churns through one-shot matrices
+    /// evicts the churn, never the hot working set.
     pub fn fingerprint(&mut self, a: &Csr<f32>) -> Fingerprint {
-        self.memo_clock += 1;
-        if let Some(entry) = self.fp_memo.get_mut(&a.structure_id()) {
-            entry.last_used = self.memo_clock;
-            self.memo_stats.hits += 1;
-            return entry.fp;
+        if let Some(&fp) = self.fp_memo.get(&a.structure_id()) {
+            return fp;
         }
-        self.memo_stats.misses += 1;
         let fp = Fingerprint::of(a);
-        if self.fp_memo.len() >= FP_MEMO_CAP {
-            let horizon = self.memo_clock.saturating_sub(FP_MEMO_CAP as u64);
-            let before = self.fp_memo.len();
-            self.fp_memo.retain(|_, e| e.last_used > horizon);
-            if self.fp_memo.len() >= FP_MEMO_CAP {
-                self.fp_memo.clear();
-            }
-            self.memo_stats.evictions += before - self.fp_memo.len();
-        }
-        self.fp_memo.insert(
-            a.structure_id(),
-            MemoEntry {
-                fp,
-                last_used: self.memo_clock,
-            },
-        );
+        self.fp_memo.insert(a.structure_id(), fp);
         fp
     }
 
     /// Counters for the fingerprint memo.
     pub fn memo_stats(&self) -> MemoStats {
-        self.memo_stats
+        let s = self.fp_memo.stats();
+        MemoStats {
+            hits: s.hits,
+            misses: s.misses,
+            stamp_mismatches: 0,
+            evictions: s.evictions,
+        }
     }
 
     /// Drop every cache entry keyed by `fp`, across all tiers: plan
@@ -984,15 +1005,10 @@ impl Runtime {
     /// particular would otherwise leak toward
     /// [`TuneConfig::max_keys`] until tuning shut off for new matrices.
     pub fn retire(&mut self, fp: &Fingerprint) -> RetiredState {
-        let plans = self.cache.retire_fingerprint(fp);
-        let before_ops = self.operands.len();
-        self.operands.retain(|(key_fp, _), _| key_fp != fp);
-        let before_memo = self.fp_memo.len();
-        self.fp_memo.retain(|_, e| e.fp != *fp);
         RetiredState {
-            plans,
-            operands: before_ops - self.operands.len(),
-            memo_entries: before_memo - self.fp_memo.len(),
+            plans: self.cache.retain(|key, _| key.fp != *fp),
+            operands: self.operands.retain(|(key_fp, _), _| key_fp != fp),
+            memo_entries: self.fp_memo.retain(|_, memo_fp| memo_fp != fp),
             tuner_keys: self.tuner.retire_fingerprint(fp),
         }
     }
@@ -1044,17 +1060,13 @@ impl Runtime {
         if format == FormatKind::Csr {
             return Ok(Arc::new(PreparedOperand::prepare(a, format)?));
         }
-        if let Some(entry) = self.operands.get(&(fp, format)) {
-            if entry.epoch == a.value_epoch() {
-                return Ok(Arc::clone(&entry.op));
-            }
+        let key = (fp, format);
+        if let Some(entry) = self.operands.get_if(&key, |e| e.epoch == a.value_epoch()) {
+            return Ok(Arc::clone(&entry.op));
         }
         let op = Arc::new(PreparedOperand::prepare(a, format)?);
-        if self.operands.len() >= OPERAND_CACHE_CAP && !self.operands.contains_key(&(fp, format)) {
-            self.operands.clear();
-        }
         self.operands.insert(
-            (fp, format),
+            key,
             PreparedEntry {
                 epoch: a.value_epoch(),
                 op: Arc::clone(&op),
@@ -1118,7 +1130,8 @@ impl Runtime {
             None => self.tuner.winner(&logical).map_or(FormatKind::Csr, |(_, f)| f),
         };
         let key = PlanKey { format, ..logical };
-        if let Some(plan) = self.cache.get_if(&key, |p| pin.is_none_or(|s| p.schedule == s)) {
+        let hit = self.cache.get_if(&key, |p| pin.is_none_or(|s| p.schedule == s)).cloned();
+        if let Some(plan) = hit {
             let served = self
                 .prepared_operand(fp, k.matrix(), format)
                 .and_then(|op| k.run_planned(self, &plan, &op));
@@ -1281,9 +1294,6 @@ impl Runtime {
         }
     }
 
-    // (The batch-flush macro resets `deadline` on every use; the final
-    // flush's reset is intentionally dead.)
-    #[allow(unused_assignments)]
     fn serve_inner(&mut self, requests: &[Request]) -> simt::Result<ServeResult> {
         let cache_before = self.cache.stats();
         let tune_before = self.tuner.stats();
@@ -1295,75 +1305,18 @@ impl Runtime {
                 .then(a.id.cmp(&b.id))
         });
 
-        let mut completions: Vec<Completion> = Vec::with_capacity(order.len());
-        let mut dropped: Vec<DroppedRequest> = Vec::new();
-        let mut in_flight: Vec<f64> = Vec::new(); // job end times
-        let mut rejected = 0usize;
-        let mut batches = 0usize;
-        let mut batched_requests = 0usize;
-        let mut ctrs = ServeCounters::default();
-        // Pending tiny requests: (request, effective submit time).
+        let mut ledger = Ledger {
+            sink: self.sink.clone(),
+            completions: Vec::with_capacity(order.len()),
+            ..Ledger::default()
+        };
+        // Pending tiny requests: (request, effective submit time). The
+        // batch is due a window after its first member joined.
         let mut pending: Vec<(&Request, f64)> = Vec::new();
-        let mut deadline = f64::INFINITY;
-
-        macro_rules! flush_batch {
-            ($at:expr) => {
-                if !pending.is_empty() {
-                    let at: f64 = $at;
-                    let members = std::mem::take(&mut pending);
-                    deadline = f64::INFINITY;
-                    self.emit(TraceEvent::Counter {
-                        counter: CounterKind::BatcherOccupancy,
-                        ts_ms: at,
-                        value: 0.0,
-                    });
-                    // Members whose deadline already passed while waiting
-                    // for batch-mates are dropped before the launch forms
-                    // (a batch can time out whole if every member did).
-                    let mut live: Vec<(&Request, f64)> = Vec::with_capacity(members.len());
-                    for (r, pt) in members {
-                        if at > r.arrival_ms + self.cfg.deadline_ms {
-                            ctrs.deadline_missed += 1;
-                            dropped.push(DroppedRequest {
-                                id: r.id,
-                                ts_ms: at,
-                                reason: DropReason::DeadlineMissed,
-                            });
-                            self.emit(TraceEvent::Request {
-                                id: r.id,
-                                phase: RequestPhase::DeadlineMiss,
-                                ts_ms: at,
-                            });
-                            self.emit(TraceEvent::TenantSample {
-                                tenant: r.tenant,
-                                ts_ms: at,
-                                latency_ms: at - r.arrival_ms,
-                                outcome: TenantOutcome::DeadlineMiss,
-                            });
-                        } else {
-                            live.push((r, pt));
-                        }
-                    }
-                    if !live.is_empty() {
-                        if live.len() > 1 {
-                            batches += 1;
-                            batched_requests += live.len();
-                        }
-                        match self.submit(&live, at, &mut ctrs)? {
-                            SubmitOutcome::Done(done) => {
-                                in_flight.push(done[0].end_ms);
-                                completions.extend(done);
-                            }
-                            SubmitOutcome::Dropped(reason, ts) => {
-                                for (r, _) in &live {
-                                    dropped.push(DroppedRequest { id: r.id, ts_ms: ts, reason });
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-        }
+        let window = self.cfg.batch_window_ms;
+        let due = |pending: &[(&Request, f64)]| {
+            pending.first().map_or(f64::INFINITY, |&(_, joined)| joined + window)
+        };
 
         for r in order {
             assert_eq!(
@@ -1379,11 +1332,13 @@ impl Runtime {
                 ts_ms: r.arrival_ms,
             });
             // A due batch flushes before this arrival is admitted.
+            let deadline = due(&pending);
             if deadline <= t {
                 let at = deadline.max(pending.iter().fold(0.0f64, |m, (_, pt)| m.max(*pt)));
-                flush_batch!(at);
+                self.flush_batch(&mut pending, at, &mut ledger)?;
             }
             // Admission control against the in-flight window.
+            let in_flight = &mut ledger.in_flight;
             in_flight.retain(|&end| end > t);
             self.emit(TraceEvent::Counter {
                 counter: CounterKind::QueueDepth,
@@ -1393,23 +1348,7 @@ impl Runtime {
             if in_flight.len() >= self.cfg.queue_depth {
                 match self.cfg.policy {
                     QueuePolicy::Reject => {
-                        rejected += 1;
-                        dropped.push(DroppedRequest {
-                            id: r.id,
-                            ts_ms: t,
-                            reason: DropReason::Rejected,
-                        });
-                        self.emit(TraceEvent::Request {
-                            id: r.id,
-                            phase: RequestPhase::Reject,
-                            ts_ms: t,
-                        });
-                        self.emit(TraceEvent::TenantSample {
-                            tenant: r.tenant,
-                            ts_ms: t,
-                            latency_ms: t - r.arrival_ms,
-                            outcome: TenantOutcome::Rejected,
-                        });
+                        ledger.drop([r], DropReason::Rejected, t);
                         continue;
                     }
                     QueuePolicy::Block => {
@@ -1425,30 +1364,11 @@ impl Runtime {
             // Deadline check at admission: a blocked queue may already
             // have eaten the request's whole budget.
             if t > r.arrival_ms + self.cfg.deadline_ms {
-                ctrs.deadline_missed += 1;
-                dropped.push(DroppedRequest {
-                    id: r.id,
-                    ts_ms: t,
-                    reason: DropReason::DeadlineMissed,
-                });
-                self.emit(TraceEvent::Request {
-                    id: r.id,
-                    phase: RequestPhase::DeadlineMiss,
-                    ts_ms: t,
-                });
-                self.emit(TraceEvent::TenantSample {
-                    tenant: r.tenant,
-                    ts_ms: t,
-                    latency_ms: t - r.arrival_ms,
-                    outcome: TenantOutcome::DeadlineMiss,
-                });
+                ledger.drop([r], DropReason::DeadlineMissed, t);
                 continue;
             }
-            let tiny = self.cfg.batch_max > 1 && r.matrix.nnz() <= self.cfg.tiny_nnz;
+            let tiny = self.cfg.batch_max > 1 && r.matrix.nnz() <= TINY_NNZ;
             if tiny {
-                if pending.is_empty() {
-                    deadline = t + self.cfg.batch_window_ms;
-                }
                 self.emit(TraceEvent::Request {
                     id: r.id,
                     phase: RequestPhase::BatchJoin,
@@ -1461,43 +1381,36 @@ impl Runtime {
                     value: pending.len() as f64,
                 });
                 if pending.len() >= self.cfg.batch_max {
-                    flush_batch!(t);
+                    self.flush_batch(&mut pending, t, &mut ledger)?;
                 }
             } else {
-                match self.submit(&[(r, t)], t, &mut ctrs)? {
-                    SubmitOutcome::Done(done) => {
-                        in_flight.push(done[0].end_ms);
-                        completions.extend(done);
-                    }
-                    SubmitOutcome::Dropped(reason, ts) => {
-                        dropped.push(DroppedRequest { id: r.id, ts_ms: ts, reason });
-                    }
-                }
+                self.submit(&[(r, t)], t, &mut ledger)?;
             }
         }
         if !pending.is_empty() {
             let at = pending
                 .iter()
-                .fold(deadline.min(1e300), |m, (_, pt)| m.max(*pt));
-            flush_batch!(at);
+                .fold(due(&pending).min(1e300), |m, (_, pt)| m.max(*pt));
+            self.flush_batch(&mut pending, at, &mut ledger)?;
         }
 
         // Aggregate.
-        let (latency_p50_ms, latency_p99_ms, latency_mean_ms) = latency_stats(&completions);
+        let completions = &ledger.completions;
+        let (latency_p50_ms, latency_p99_ms, latency_mean_ms) = latency_stats(completions);
         let makespan_ms = completions.iter().fold(0.0f64, |m, c| m.max(c.end_ms));
         let cache_after = self.cache.stats();
         let report = RuntimeReport {
             submitted: requests.len(),
             served: completions.len(),
-            rejected,
-            deadline_missed: ctrs.deadline_missed,
-            failed: ctrs.failed,
-            retries: ctrs.retries,
-            failovers: ctrs.failovers,
-            plan_fallbacks: ctrs.plan_fallbacks,
-            device_evictions: ctrs.device_evictions,
-            batches,
-            batched_requests,
+            rejected: ledger.count(DropReason::Rejected),
+            deadline_missed: ledger.count(DropReason::DeadlineMissed),
+            failed: ledger.count(DropReason::Failed),
+            retries: ledger.retries,
+            failovers: ledger.failovers,
+            plan_fallbacks: ledger.plan_fallbacks,
+            device_evictions: ledger.device_evictions,
+            batches: ledger.batches,
+            batched_requests: ledger.batched_requests,
             cache: CacheStats {
                 hits: cache_after.hits - cache_before.hits,
                 misses: cache_after.misses - cache_before.misses,
@@ -1525,22 +1438,54 @@ impl Runtime {
         };
         debug_assert!(report.reconciles(), "request accounting must balance");
         Ok(ServeResult {
-            completions,
-            dropped,
+            completions: ledger.completions,
+            dropped: ledger.dropped,
             report,
         })
+    }
+
+    /// Launch the pending tiny requests as one job at `at`. Members whose
+    /// deadline passed while they waited for batch-mates are dropped
+    /// first (a batch can time out whole if every member did).
+    fn flush_batch(
+        &mut self,
+        pending: &mut Vec<(&Request, f64)>,
+        at: f64,
+        ledger: &mut Ledger,
+    ) -> simt::Result<()> {
+        if pending.is_empty() {
+            return Ok(());
+        }
+        self.emit(TraceEvent::Counter {
+            counter: CounterKind::BatcherOccupancy,
+            ts_ms: at,
+            value: 0.0,
+        });
+        let (late, live): (Vec<_>, Vec<_>) = pending
+            .drain(..)
+            .partition(|(r, _)| at > r.arrival_ms + self.cfg.deadline_ms);
+        ledger.drop(late.iter().map(|&(r, _)| r), DropReason::DeadlineMissed, at);
+        if live.is_empty() {
+            return Ok(());
+        }
+        if live.len() > 1 {
+            ledger.batches += 1;
+            ledger.batched_requests += live.len();
+        }
+        self.submit(&live, at, ledger)
     }
 
     /// Run one job (solo request or fused batch) and place it on the
     /// earliest-available healthy stream at or after `submit_ms`,
     /// retrying faulted dispatches with exponential backoff and failing
-    /// over across devices.
+    /// over across devices. The members' completions or drops go to
+    /// `ledger`.
     fn submit(
         &mut self,
         members: &[(&Request, f64)],
         submit_ms: f64,
-        ctrs: &mut ServeCounters,
-    ) -> simt::Result<SubmitOutcome> {
+        ledger: &mut Ledger,
+    ) -> simt::Result<()> {
         // Execute functionally + time solo, via the plan cache for solo
         // requests; fused batches are one-off shapes and bypass it.
         let served = if let [(r, _)] = members {
@@ -1573,7 +1518,7 @@ impl Runtime {
                     Served { run, format: FormatKind::Csr, fell_back }
                 }
             };
-            ctrs.plan_fallbacks += usize::from(served.fell_back);
+            ledger.plan_fallbacks += usize::from(served.fell_back);
             self.emit(TraceEvent::Request {
                 id: r.id,
                 phase: if served.run.cache_hit {
@@ -1607,6 +1552,7 @@ impl Runtime {
             .iter()
             .fold(f64::INFINITY, |m, (r, _)| m.min(r.arrival_ms + self.cfg.deadline_ms));
         let label = trace_label(KernelKind::Spmv, run.schedule);
+        let requests = || members.iter().map(|&(r, _)| r);
         let mut when = submit_ms;
         let mut attempt = 0u32;
         let mut first_device: Option<usize> = None;
@@ -1620,21 +1566,8 @@ impl Runtime {
                 .map(|(di, s)| self.devices[di].stream_ready_ms(s).max(when))
                 .unwrap_or(when);
             if earliest_start > job_deadline {
-                ctrs.deadline_missed += members.len();
-                for (r, _) in members {
-                    self.emit(TraceEvent::Request {
-                        id: r.id,
-                        phase: RequestPhase::DeadlineMiss,
-                        ts_ms: when,
-                    });
-                    self.emit(TraceEvent::TenantSample {
-                        tenant: r.tenant,
-                        ts_ms: when,
-                        latency_ms: when - r.arrival_ms,
-                        outcome: TenantOutcome::DeadlineMiss,
-                    });
-                }
-                return Ok(SubmitOutcome::Dropped(DropReason::DeadlineMissed, when));
+                ledger.drop(requests(), DropReason::DeadlineMissed, when);
+                return Ok(());
             }
             let Some((dev_idx, stream)) = picked else {
                 // No device admits work right now: jump to the earliest
@@ -1645,16 +1578,8 @@ impl Runtime {
                         continue;
                     }
                     None => {
-                        ctrs.failed += members.len();
-                        for (r, _) in members {
-                            self.emit(TraceEvent::TenantSample {
-                                tenant: r.tenant,
-                                ts_ms: when,
-                                latency_ms: when - r.arrival_ms,
-                                outcome: TenantOutcome::Failed,
-                            });
-                        }
-                        return Ok(SubmitOutcome::Dropped(DropReason::Failed, when));
+                        ledger.drop(requests(), DropReason::Failed, when);
+                        return Ok(());
                     }
                 }
             };
@@ -1663,27 +1588,27 @@ impl Runtime {
                 Ok(job) => {
                     self.health[dev_idx].consecutive_failures = 0;
                     if first_device != Some(dev_idx) {
-                        ctrs.failovers += members.len();
+                        ledger.failovers += members.len();
                     }
                     break (dev_idx, stream, job);
                 }
                 Err(e) => {
                     attempt += 1;
-                    ctrs.retries += 1;
+                    ledger.retries += 1;
                     let (SimError::DeviceLost { at_ms, .. } | SimError::TransientLaunch { at_ms, .. }) =
                         e;
                     let h = &mut self.health[dev_idx];
                     if matches!(e, SimError::DeviceLost { .. }) {
                         if !h.dead {
                             h.dead = true;
-                            ctrs.device_evictions += 1;
+                            ledger.device_evictions += 1;
                         }
                     } else {
                         h.consecutive_failures += 1;
-                        if h.consecutive_failures >= self.cfg.evict_after {
-                            h.evicted_until_ms = at_ms + self.cfg.cooldown_ms;
+                        if h.consecutive_failures >= EVICT_AFTER {
+                            h.evicted_until_ms = at_ms + COOLDOWN_MS;
                             h.consecutive_failures = 0;
-                            ctrs.device_evictions += 1;
+                            ledger.device_evictions += 1;
                         }
                     }
                     for (r, _) in members {
@@ -1693,22 +1618,14 @@ impl Runtime {
                             ts_ms: at_ms,
                         });
                     }
-                    if attempt > self.cfg.max_retries {
-                        ctrs.failed += members.len();
-                        for (r, _) in members {
-                            self.emit(TraceEvent::TenantSample {
-                                tenant: r.tenant,
-                                ts_ms: at_ms,
-                                latency_ms: at_ms - r.arrival_ms,
-                                outcome: TenantOutcome::Failed,
-                            });
-                        }
-                        return Ok(SubmitOutcome::Dropped(DropReason::Failed, at_ms));
+                    if attempt > MAX_RETRIES {
+                        ledger.drop(requests(), DropReason::Failed, at_ms);
+                        return Ok(());
                     }
                     // Exponential backoff with seeded jitter.
-                    let backoff = self.cfg.retry_backoff_ms
+                    let backoff = RETRY_BACKOFF_MS
                         * 2f64.powi(attempt as i32 - 1)
-                        * (1.0 + self.cfg.retry_jitter * self.rng.f64());
+                        * (1.0 + RETRY_JITTER * self.rng.f64());
                     when = when.max(at_ms) + backoff;
                 }
             }
@@ -1744,7 +1661,11 @@ impl Runtime {
             }
         }
 
-        Ok(SubmitOutcome::Done(self.complete(members, &served, dev_idx, &job, attempt + 1)))
+        ledger.in_flight.push(job.end_ms);
+        ledger
+            .completions
+            .extend(self.complete(members, &served, dev_idx, &job, attempt + 1));
+        Ok(())
     }
 
     /// Earliest-available stream among devices the runtime still
@@ -2618,6 +2539,24 @@ mod tests {
             rt.fingerprint(&Csr::<f32>::empty(4, 4));
         }
         assert!(rt.fp_memo.len() <= FP_MEMO_CAP);
+    }
+
+    #[test]
+    fn hot_prepared_operand_survives_operand_churn() {
+        // The operand cache evicts its least recently used entry, so a
+        // hot converted operand outlives a cache's worth of one-shot ones.
+        let mut rt = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
+        let ell = |rt: &mut Runtime, a: &Csr<f32>| {
+            let fp = rt.fingerprint(a);
+            rt.prepared_operand(fp, a, FormatKind::Ell).unwrap()
+        };
+        let hot = sparse::gen::uniform(300, 300, 2_000, 1);
+        let first = ell(&mut rt, &hot);
+        for i in 0..OPERAND_CACHE_CAP {
+            ell(&mut rt, &sparse::gen::uniform(40 + i, 40, 160, i as u64));
+            let kept = ell(&mut rt, &hot);
+            assert!(Arc::ptr_eq(&kept, &first), "re-converted after {i} others");
+        }
     }
 
     #[test]

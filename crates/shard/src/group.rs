@@ -26,6 +26,7 @@ use std::sync::Arc;
 use kernels::graph::Graph;
 use kernels::pagerank::{normalized_transpose, power_iteration};
 use loops::schedule::ScheduleKind;
+use runtime::cache::Lru;
 use runtime::split::{pinned_schedule, split_spmv};
 use runtime::{
     latency_stats, Completion, DeviceReport, DropReason, DroppedRequest, QueuePolicy, Request,
@@ -38,6 +39,12 @@ use trace::{ShardPhase, TenantOutcome, TraceEvent, TraceSink};
 
 use crate::ring::HashRing;
 
+/// Virtual nodes per shard on the routing ring.
+const RING_VNODES: usize = 64;
+
+/// Seed of the routing ring's hash points.
+const RING_SEED: u64 = 0x5eed;
+
 /// Sizing and policy knobs of one shard group.
 #[derive(Debug, Clone)]
 pub struct ShardGroupConfig {
@@ -45,10 +52,6 @@ pub struct ShardGroupConfig {
     pub shards: usize,
     /// How split-mode matrices are partitioned across shards.
     pub strategy: ShardStrategy,
-    /// Virtual nodes per shard on the routing ring.
-    pub vnodes: usize,
-    /// Seed of the routing ring's hash points.
-    pub seed: u64,
     /// Per-shard runtime configuration (device pool, caches, batching).
     pub runtime: RuntimeConfig,
     /// Global admission window of the split path: split requests in
@@ -68,8 +71,6 @@ impl ShardGroupConfig {
         Self {
             shards,
             strategy: ShardStrategy::RowNnz2D,
-            vnodes: 64,
-            seed: 0x5eed,
             runtime: RuntimeConfig::default(),
             queue_depth: 64,
             policy: QueuePolicy::Block,
@@ -119,9 +120,9 @@ pub struct ShardGroup {
     shards: Vec<Runtime>,
     link: MultiGpuSpec,
     /// Split partitions keyed by the source's value epoch: equal epochs
-    /// mean equal structure and equal values. Bounded at the shards'
-    /// `plan_cache_capacity`, cleared when a new entry would pass it.
-    splits: HashMap<u64, SplitEntry>,
+    /// mean equal structure and equal values. An [`Lru`] of the shards'
+    /// `plan_cache_capacity` entries.
+    splits: Lru<u64, Arc<SplitEntry>>,
     sink: Option<Arc<dyn TraceSink>>,
 }
 
@@ -142,13 +143,13 @@ impl ShardGroup {
             link_bw_gbs: cfg.link_bw_gbs,
             link_latency_us: cfg.link_latency_us,
         };
-        let ring = HashRing::new(cfg.shards, cfg.vnodes, cfg.seed);
+        let ring = HashRing::new(cfg.shards, RING_VNODES, RING_SEED);
         Self {
+            splits: Lru::new(cfg.runtime.plan_cache_capacity),
             cfg,
             ring,
             shards,
             link,
-            splits: HashMap::new(),
             sink: None,
         }
     }
@@ -195,35 +196,31 @@ impl ShardGroup {
     /// Partition (or recall) the split-mode plan for `a`. A matrix
     /// rebuilt, or written through `values_mut`, since the last cut has
     /// a new value epoch and so gets a new partition.
-    fn split_entry(&mut self, a: &Csr<f32>) -> &SplitEntry {
+    fn split_entry(&mut self, a: &Csr<f32>) -> Arc<SplitEntry> {
         let key = a.value_epoch();
-        if !self.splits.contains_key(&key) {
-            let plan = ShardPlan::partition(a, self.shards.len(), self.cfg.strategy);
-            let subs = (0..plan.num_shards())
-                .map(|s| Arc::new(plan.submatrix(a, s)))
-                .collect();
-            let halo_bytes: Vec<u64> = plan.shards.iter().map(|s| s.halo_bytes()).collect();
-            let bounding_shard = halo_bytes
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &b)| b)
-                .map_or(0, |(i, _)| i as u32);
-            if self.splits.len() >= self.cfg.runtime.plan_cache_capacity {
-                self.splits.clear();
-            }
-            self.splits.insert(
-                key,
-                SplitEntry {
-                    subs,
-                    kind: pinned_schedule(a),
-                    total_halo: plan.total_halo_bytes(),
-                    merge_bytes: plan.max_output_bytes(),
-                    halo_bytes,
-                    bounding_shard,
-                },
-            );
+        if let Some(entry) = self.splits.get(&key) {
+            return Arc::clone(entry);
         }
-        &self.splits[&key]
+        let plan = ShardPlan::partition(a, self.shards.len(), self.cfg.strategy);
+        let subs = (0..plan.num_shards())
+            .map(|s| Arc::new(plan.submatrix(a, s)))
+            .collect();
+        let halo_bytes: Vec<u64> = plan.shards.iter().map(|s| s.halo_bytes()).collect();
+        let bounding_shard = halo_bytes
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &b)| b)
+            .map_or(0, |(i, _)| i as u32);
+        let entry = Arc::new(SplitEntry {
+            subs,
+            kind: pinned_schedule(a),
+            total_halo: plan.total_halo_bytes(),
+            merge_bytes: plan.max_output_bytes(),
+            halo_bytes,
+            bounding_shard,
+        });
+        self.splits.insert(key, Arc::clone(&entry));
+        entry
     }
 
     /// Serve a request stream in **split mode**: each request runs
@@ -296,27 +293,25 @@ impl ShardGroup {
                 continue;
             }
 
-            let entry = self.split_entry(&r.matrix);
-            let (subs, kind) = (entry.subs.clone(), entry.kind);
-            let (halo, total_halo, merge_bytes, bounding) = (
-                entry.halo_bytes.clone(),
-                entry.total_halo,
-                entry.merge_bytes,
-                entry.bounding_shard,
-            );
-            let run = split_spmv(&mut self.shards, &subs, &r.x, kind)?;
-            let cost = halo_exchange(&self.link, &halo, merge_bytes);
+            let split = self.split_entry(&r.matrix);
+            let run = split_spmv(&mut self.shards, &split.subs, &r.x, split.kind)?;
+            let cost = halo_exchange(&self.link, &split.halo_bytes, split.merge_bytes);
             let end = start + run.critical_shard_ms() + cost.total_ms();
 
             if self.shards.len() > 1 {
-                counters.halo_bytes += total_halo;
-                self.emit(bounding, ShardPhase::HaloExchange, start, total_halo as f64);
+                counters.halo_bytes += split.total_halo;
+                self.emit(
+                    split.bounding_shard,
+                    ShardPhase::HaloExchange,
+                    start,
+                    split.total_halo as f64,
+                );
             }
             counters.merges += 1;
             self.emit(home, ShardPhase::Merge, end, 4.0 * run.y.len() as f64);
 
             self.emit_tenant(r.tenant, end, end - r.arrival_ms, TenantOutcome::Served);
-            let active = subs.iter().filter(|s| s.rows() > 0).count();
+            let active = split.subs.iter().filter(|s| s.rows() > 0).count();
             completions.push(Completion {
                 id: r.id,
                 arrival_ms: r.arrival_ms,
@@ -325,7 +320,7 @@ impl ShardGroup {
                 device: home as usize,
                 batched: false,
                 cache_hit: Some(run.cache_hits == active),
-                schedule: kind,
+                schedule: split.kind,
                 format: sparse::FormatKind::Csr,
                 attempts: 1,
                 y: self.cfg.runtime.keep_results.then_some(run.y),
@@ -404,12 +399,8 @@ impl ShardGroup {
             }
             for d in &dropped {
                 if let Some(&(tenant, arrival_ms)) = tenants.get(&d.id) {
-                    let outcome = match d.reason {
-                        DropReason::Rejected => TenantOutcome::Rejected,
-                        DropReason::DeadlineMissed => TenantOutcome::DeadlineMiss,
-                        DropReason::Failed => TenantOutcome::Failed,
-                    };
-                    self.emit_tenant(tenant, d.ts_ms, (d.ts_ms - arrival_ms).max(0.0), outcome);
+                    let latency_ms = (d.ts_ms - arrival_ms).max(0.0);
+                    self.emit_tenant(tenant, d.ts_ms, latency_ms, d.reason.outcome());
                 }
             }
         }
@@ -646,6 +637,42 @@ mod tests {
             assert_eq!(bits(&got), bits(&want), "round {round}");
             assert!(grp.splits.len() <= 4, "round {round}: {}", grp.splits.len());
         }
+    }
+
+    #[test]
+    fn split_cache_keeps_a_hot_matrix_under_churn() {
+        // The split cache evicts its least recently used entry, so a hot
+        // matrix served between one-shot ones keeps its partition.
+        let mut cfg = ShardGroupConfig::new(2);
+        cfg.runtime.plan_cache_capacity = 4;
+        let mut grp = ShardGroup::new(GpuSpec::test_tiny(), cfg);
+        let request = |id: u64, a: &Arc<Csr<f32>>| Request {
+            id,
+            tenant: 0,
+            matrix: Arc::clone(a),
+            x: sparse::dense::test_vector(a.cols()).into(),
+            arrival_ms: 0.0,
+        };
+        let hot = Arc::new(sparse::gen::banded(300, 4, 7));
+        let hot_cut = |grp: &mut ShardGroup| {
+            let split = grp.splits.get(&hot.value_epoch()).expect("hot split");
+            Arc::clone(&split.subs[0])
+        };
+        grp.serve_split(&[request(0, &hot)]).unwrap();
+        let cut = hot_cut(&mut grp);
+        for i in 1..=8u64 {
+            let other = Arc::new(sparse::gen::banded(100 + i as usize, 2, i));
+            let reqs = [request(2 * i - 1, &other), request(2 * i, &hot)];
+            grp.serve_split(&reqs).unwrap();
+            let kept = hot_cut(&mut grp);
+            assert!(Arc::ptr_eq(&kept, &cut), "re-partitioned after {i} others");
+        }
+        // At capacity 0 a split is still computed and served, never kept.
+        let mut cfg = ShardGroupConfig::new(2);
+        cfg.runtime.plan_cache_capacity = 0;
+        let mut uncached = ShardGroup::new(GpuSpec::test_tiny(), cfg);
+        assert_eq!(uncached.serve_split(&[request(0, &hot)]).unwrap().report.served, 1);
+        assert!(uncached.splits.is_empty());
     }
 
     #[test]

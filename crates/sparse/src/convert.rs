@@ -4,62 +4,12 @@ use crate::coo::Coo;
 use crate::csc::Csc;
 use crate::csr::Csr;
 
-/// COO → CSR. Entries are sorted row-major; duplicate positions are kept
-/// (call [`Coo::canonicalize`] first to merge them).
+/// COO → CSR through [`Csr::from_triplets`]: entries sorted row-major,
+/// duplicate positions kept in COO order (call [`Coo::canonicalize`]
+/// first to merge them).
 pub fn coo_to_csr<V: Copy>(coo: &Coo<V>) -> Csr<V> {
-    let mut counts = vec![0usize; coo.rows() + 1];
-    for &r in coo.row_indices() {
-        counts[r as usize + 1] += 1;
-    }
-    for i in 0..coo.rows() {
-        counts[i + 1] += counts[i];
-    }
-    let row_offsets = counts.clone();
-    let nnz = coo.nnz();
-    let mut cursor = counts;
-    let mut col_indices = vec![0u32; nnz];
-    let mut values: Vec<V> = Vec::with_capacity(nnz);
-    // SAFETY-free scatter: fill with first value then overwrite.
-    values.extend(coo.values().iter().copied());
-    // Stable counting-sort scatter by row; within a row we then sort by col.
-    for ((&r, &c), &v) in coo
-        .row_indices()
-        .iter()
-        .zip(coo.col_indices())
-        .zip(coo.values())
-    {
-        let dst = cursor[r as usize];
-        col_indices[dst] = c;
-        values[dst] = v;
-        cursor[r as usize] += 1;
-    }
-    sort_rows_by_column(&row_offsets, &mut col_indices, &mut values);
-    Csr::from_parts(coo.rows(), coo.cols(), row_offsets, col_indices, values)
-        .expect("scatter preserves CSR invariants")
-}
-
-/// Sort each row segment of `cols`/`vals` by column (stable, so
-/// duplicate coordinates keep their COO order).
-fn sort_rows_by_column<V: Copy>(offsets: &[usize], cols: &mut [u32], vals: &mut [V]) {
-    let mut scratch: Vec<(u32, V)> = Vec::new();
-    for w in offsets.windows(2) {
-        let range = w[0]..w[1];
-        if range.len() <= 1 || cols[range.clone()].windows(2).all(|p| p[0] <= p[1]) {
-            continue;
-        }
-        scratch.clear();
-        scratch.extend(
-            cols[range.clone()]
-                .iter()
-                .copied()
-                .zip(vals[range.clone()].iter().copied()),
-        );
-        scratch.sort_by_key(|&(c, _)| c);
-        for (dst, &(c, v)) in range.zip(&scratch) {
-            cols[dst] = c;
-            vals[dst] = v;
-        }
-    }
+    Csr::from_triplets(coo.rows(), coo.cols(), coo.iter().collect())
+        .expect("a COO's entries are bounds-checked at construction")
 }
 
 /// CSR → COO, in canonical row-major order.

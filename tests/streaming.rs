@@ -9,8 +9,8 @@
 //!   validation (the stale-value bugfix);
 //! * autotuner sweep state is keyed by fingerprint → explicit
 //!   retirement on structural mutation, bounding the key table;
-//! * the fingerprint memo is keyed by structure id → recency-horizon
-//!   eviction that keeps hot entries under churn;
+//! * the fingerprint memo is keyed by structure id → LRU eviction that
+//!   keeps hot entries under churn;
 //! * plan-cache entries are pattern-only → retired on structural
 //!   mutation, and the tuner re-converges on the new pattern.
 
@@ -200,8 +200,8 @@ fn mutate_heavy_stream_does_not_exhaust_tuner_keys() {
 /// The fingerprint memo's overflow policy must not wipe the hot
 /// working set. Pre-fix, hitting `FP_MEMO_CAP` cleared the whole memo,
 /// so a hot matrix amid one-shot churn was re-fingerprinted (O(rows))
-/// after every clear; now only entries cold for a full cap's worth of
-/// lookups are evicted, so the hot entry's *only* miss is its first.
+/// after every clear; the memo now evicts its least recently used
+/// entry, so the hot entry's *only* miss is its first.
 #[test]
 fn memo_eviction_keeps_hot_entries_under_churn() {
     // FP_MEMO_CAP is 1024; push well past it.
