@@ -1,14 +1,16 @@
 //! Conversions between sparse formats.
 
+use std::ops::AddAssign;
+
 use crate::coo::Coo;
 use crate::csc::Csc;
 use crate::csr::Csr;
 
-/// COO → CSR through [`Csr::from_triplets`]: entries sorted row-major,
-/// duplicate positions kept in COO order (call [`Coo::canonicalize`]
-/// first to merge them).
-pub fn coo_to_csr<V: Copy>(coo: &Coo<V>) -> Csr<V> {
-    Csr::from_triplets(coo.rows(), coo.cols(), coo.iter().collect())
+/// COO → canonical CSR under the rule of [`Csr::from_triplets`]:
+/// entries sorted row-major, duplicate positions summed in COO order,
+/// so calling [`Coo::canonicalize`] first changes nothing.
+pub fn coo_to_csr<V: Copy + AddAssign>(coo: &Coo<V>) -> Csr<V> {
+    Csr::assemble(coo.rows(), coo.cols(), coo.iter())
         .expect("a COO's entries are bounds-checked at construction")
 }
 

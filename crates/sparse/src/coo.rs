@@ -98,7 +98,7 @@ impl<V: Copy> Coo<V> {
     }
 
     /// Iterate `(row, col, value)` in storage order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, V)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, V)> + Clone + '_ {
         self.row_indices
             .iter()
             .zip(&self.col_indices)

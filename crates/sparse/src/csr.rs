@@ -5,6 +5,7 @@
 //! *work tiles*; nonzeros are its *work atoms*; the whole matrix is the
 //! *tile set* (§3.1).
 
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{Error, Result};
@@ -19,6 +20,13 @@ fn fresh_token() -> u64 {
 }
 
 /// A CSR sparse matrix with `V`-typed values.
+///
+/// **Canonical invariant.** The columns of every row strictly increase,
+/// so a row holds no duplicate coordinate. Every constructor enforces
+/// it: [`Csr::from_parts`] rejects a row that breaks it, and
+/// [`Csr::from_triplets`] sorts each row and sums duplicate coordinates
+/// in input order. Consumers may binary-search a row and merge rows
+/// linearly.
 #[derive(Debug, Clone)]
 pub struct Csr<V = f32> {
     rows: usize,
@@ -49,7 +57,9 @@ impl<V: PartialEq> PartialEq for Csr<V> {
 }
 
 impl<V: Copy> Csr<V> {
-    /// Build from raw parts, validating every CSR invariant.
+    /// Build from raw parts, validating every CSR invariant, the
+    /// canonical one included: a row whose columns repeat or decrease
+    /// is [`Error::Invalid`].
     pub fn from_parts(
         rows: usize,
         cols: usize,
@@ -78,8 +88,20 @@ impl<V: Copy> Csr<V> {
                 values.len()
             )));
         }
-        if col_indices.iter().any(|&c| c as usize >= cols) {
-            return Err(Error::Invalid("column index out of bounds".into()));
+        // Rows are canonical iff every column that fails to exceed its
+        // predecessor starts a row; then a row's last column is its
+        // largest, and only it needs the bound.
+        let mut row_start_drops = 0usize;
+        for w in row_offsets.windows(2).filter(|w| w[0] < w[1]) {
+            if col_indices[w[1] - 1] as usize >= cols {
+                return Err(Error::Invalid("column index out of bounds".into()));
+            }
+            let prev = w[0].checked_sub(1).map(|p| col_indices[p]);
+            row_start_drops += usize::from(prev.is_some_and(|p| col_indices[w[0]] <= p));
+        }
+        let drops = col_indices.windows(2).filter(|p| p[0] >= p[1]).count();
+        if drops != row_start_drops {
+            return Err(Error::Invalid("a row's columns must strictly increase".into()));
         }
         Ok(Self {
             rows,
@@ -103,32 +125,6 @@ impl<V: Copy> Csr<V> {
             structure_id: fresh_token(),
             value_epoch: fresh_token(),
         }
-    }
-
-    /// Build from (row, col, value) triplets, sorted row-major. Duplicate
-    /// coordinates are kept, adjacent, not summed — use [`crate::Coo`]
-    /// if you need dedup-with-sum semantics.
-    pub fn from_triplets(
-        rows: usize,
-        cols: usize,
-        mut triplets: Vec<(u32, u32, V)>,
-    ) -> Result<Self> {
-        triplets.sort_by_key(|&(r, c, _)| (r, c));
-        let mut row_offsets = vec![0usize; rows + 1];
-        let mut col_indices = Vec::with_capacity(triplets.len());
-        let mut values = Vec::with_capacity(triplets.len());
-        for &(r, c, v) in &triplets {
-            if r as usize >= rows {
-                return Err(Error::Invalid(format!("row index {r} out of bounds")));
-            }
-            row_offsets[r as usize + 1] += 1;
-            col_indices.push(c);
-            values.push(v);
-        }
-        for i in 0..rows {
-            row_offsets[i + 1] += row_offsets[i];
-        }
-        Self::from_parts(rows, cols, row_offsets, col_indices, values)
     }
 
     /// Number of rows (work tiles).
@@ -253,6 +249,85 @@ impl<V: Copy> Csr<V> {
     }
 }
 
+impl<V: Copy + AddAssign> Csr<V> {
+    /// Build from (row, col, value) triplets in any order. Duplicate
+    /// coordinates are summed in input order, the rule
+    /// [`crate::Coo::canonicalize`] uses, so the result is canonical.
+    pub fn from_triplets(rows: usize, cols: usize, triplets: Vec<(u32, u32, V)>) -> Result<Self> {
+        Self::assemble(rows, cols, triplets.iter().copied())
+    }
+
+    /// The one triplet assembly: a counting pass by row, a stable
+    /// scatter, then per row a stable sort and an in-order sum of
+    /// duplicates, both skipped for a row whose columns already strictly
+    /// increase. `entries` is walked twice.
+    pub(crate) fn assemble<I>(rows: usize, cols: usize, entries: I) -> Result<Self>
+    where
+        I: Iterator<Item = (u32, u32, V)> + Clone,
+    {
+        let mut row_offsets = vec![0usize; rows + 1];
+        for (r, _, _) in entries.clone() {
+            if r as usize >= rows {
+                return Err(Error::Invalid(format!("row index {r} out of bounds")));
+            }
+            row_offsets[r as usize + 1] += 1;
+        }
+        for i in 0..rows {
+            row_offsets[i + 1] += row_offsets[i];
+        }
+        let nnz = row_offsets[rows];
+        let Some((_, _, fill)) = entries.clone().next() else {
+            return Self::from_parts(rows, cols, row_offsets, Vec::new(), Vec::new());
+        };
+        let mut col_indices = vec![0u32; nnz];
+        let mut values = vec![fill; nnz];
+        let mut cursor = row_offsets[..rows].to_vec();
+        for (r, c, v) in entries {
+            let slot = &mut cursor[r as usize];
+            col_indices[*slot] = c;
+            values[*slot] = v;
+            *slot += 1;
+        }
+        // Compact in place, row by row: entries only move to the front,
+        // and `row_offsets[r + 1]` is read as row `r`'s old end before it
+        // is rewritten as the new one.
+        let mut row = Vec::new();
+        let (mut start, mut w) = (0, 0);
+        for r in 0..rows {
+            let end = row_offsets[r + 1];
+            if col_indices[start..end].windows(2).all(|p| p[0] < p[1]) {
+                col_indices.copy_within(start..end, w);
+                values.copy_within(start..end, w);
+                w += end - start;
+            } else {
+                row.clear();
+                let cols_in = col_indices[start..end].iter().copied();
+                row.extend(cols_in.zip(values[start..end].iter().copied()));
+                row.sort_by_key(|&(c, _)| c);
+                let row_start = w;
+                for &(c, v) in &row {
+                    if w > row_start && col_indices[w - 1] == c {
+                        values[w - 1] += v;
+                    } else {
+                        col_indices[w] = c;
+                        values[w] = v;
+                        w += 1;
+                    }
+                }
+            }
+            row_offsets[r + 1] = w;
+            start = end;
+        }
+        // Summed duplicates would otherwise stay allocated for the
+        // matrix's lifetime.
+        col_indices.truncate(w);
+        col_indices.shrink_to_fit();
+        values.truncate(w);
+        values.shrink_to_fit();
+        Self::from_parts(rows, cols, row_offsets, col_indices, values)
+    }
+}
+
 impl Csr<f32> {
     /// Reference sequential SpMV: `y = A·x`. Ground truth for every test
     /// and every simulated kernel validation.
@@ -328,13 +403,20 @@ mod tests {
     fn from_triplets_sorts_and_matches() {
         let t = vec![
             (2u32, 3u32, 5.0f32),
-            (0, 0, 1.0),
+            (0, 0, 0.25),
             (2, 0, 3.0),
+            (2, 1, 1.5),
             (0, 2, 2.0),
-            (2, 1, 4.0),
+            (0, 0, 0.75),
+            (2, 1, 2.5),
         ];
         let a = Csr::from_triplets(3, 4, t).unwrap();
         assert_eq!(a, sample());
+        // Duplicates are summed in input order. In f32, 1e8 + 1 rounds
+        // back to 1e8, so this order sums to 0; adding the two large
+        // values first would read 1.
+        let t = vec![(0u32, 0u32, 1.0e8f32), (0, 0, 1.0), (0, 0, -1.0e8)];
+        assert_eq!(Csr::from_triplets(1, 1, t).unwrap().values(), &[0.0]);
     }
 
     #[test]
@@ -365,8 +447,16 @@ mod tests {
         assert!(Csr::<f32>::from_parts(1, 2, vec![0, 1], vec![5], vec![1.0]).is_err());
         // nnz mismatch
         assert!(Csr::<f32>::from_parts(1, 2, vec![0, 2], vec![0], vec![1.0]).is_err());
+        // repeated column in a row
+        assert!(Csr::<f32>::from_parts(2, 3, vec![0, 1, 3], vec![2, 1, 1], vec![1.0; 3]).is_err());
+        // decreasing columns in a row
+        assert!(Csr::<f32>::from_parts(2, 3, vec![0, 1, 3], vec![0, 2, 1], vec![1.0; 3]).is_err());
+        // equal columns across a row boundary are fine
+        assert!(Csr::<f32>::from_parts(2, 3, vec![0, 1, 2], vec![1, 1], vec![1.0; 2]).is_ok());
         // triplet row out of range
         assert!(Csr::from_triplets(1, 1, vec![(3u32, 0u32, 1.0f32)]).is_err());
+        // triplet column out of range, ahead of an in-range one
+        assert!(Csr::from_triplets(1, 2, vec![(0u32, 5u32, 1.0f32), (0, 0, 1.0)]).is_err());
     }
 
     #[test]

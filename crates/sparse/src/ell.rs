@@ -9,6 +9,8 @@
 //! stencils and dies on power laws — a trade the ablation harness can
 //! now measure directly against the scheduling-based answers.
 
+use std::ops::AddAssign;
+
 use crate::csr::Csr;
 use crate::error::{Error, Result};
 
@@ -96,7 +98,10 @@ impl<V: Copy + Default> Ell<V> {
     }
 
     /// Convert back to canonical CSR (drops padding).
-    pub fn to_csr(&self) -> Csr<V> {
+    pub fn to_csr(&self) -> Csr<V>
+    where
+        V: AddAssign,
+    {
         let mut triplets = Vec::with_capacity(self.nnz());
         for r in 0..self.rows {
             for s in self.row_slots(r) {

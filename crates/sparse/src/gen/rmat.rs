@@ -43,7 +43,6 @@ pub fn rmat(scale: u32, edge_factor: usize, probs: (f64, f64, f64), seed: u64) -
         coo.push(r as u32, c_idx as u32, draw_value(&mut rng))
             .expect("quadrant walk stays in bounds");
     }
-    coo.canonicalize();
     coo_to_csr(&coo)
 }
 

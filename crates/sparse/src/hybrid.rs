@@ -242,12 +242,15 @@ mod tests {
 
     #[test]
     fn tail_is_canonical_for_sorted_sources() {
-        // Generators emit column-sorted rows, so the spill tail inherits
-        // canonical row-major order — the property the COO tile adapter
-        // and the scatter pass's fold-order contract both rely on.
+        // CSR rows are canonical, so the spill tail inherits canonical
+        // row-major order at any width — the property the COO tile
+        // adapter and the scatter pass's fold-order contract rely on.
         let a = crate::gen::powerlaw(150, 150, 2_000, 1.7, 33);
-        let h = Hybrid::from_csr_auto(&a);
-        assert!(h.tail().is_canonical() || h.tail_nnz() == 0);
+        let auto = Hybrid::from_csr_auto(&a);
+        for h in [auto, Hybrid::from_csr(&a, 0), Hybrid::from_csr(&a, 3)] {
+            assert!(h.tail_nnz() > 0, "width {} must spill", h.width());
+            assert!(h.tail().is_canonical(), "width {}", h.width());
+        }
     }
 
     #[test]

@@ -147,9 +147,7 @@ pub fn read_coo<R: Read>(reader: R) -> Result<Coo<f32>> {
 
 /// Read a MatrixMarket file straight into canonical CSR.
 pub fn read_csr<R: Read>(reader: R) -> Result<Csr<f32>> {
-    let mut coo = read_coo(reader)?;
-    coo.canonicalize();
-    Ok(crate::convert::coo_to_csr(&coo))
+    Ok(crate::convert::coo_to_csr(&read_coo(reader)?))
 }
 
 /// Read a `.mtx` file from disk into CSR.

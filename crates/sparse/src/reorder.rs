@@ -15,6 +15,7 @@
 
 use crate::csr::Csr;
 use std::collections::VecDeque;
+use std::ops::AddAssign;
 
 /// Permutation `perm` as "new index `i` holds old index `perm[i]`".
 pub type Permutation = Vec<u32>;
@@ -66,7 +67,7 @@ pub fn rcm<V: Copy>(a: &Csr<V>) -> Permutation {
 }
 
 /// Apply `perm` to rows and columns: `B[i, j] = A[perm[i], perm[j]]`.
-pub fn permute_symmetric<V: Copy>(a: &Csr<V>, perm: &[u32]) -> Csr<V> {
+pub fn permute_symmetric<V: Copy + AddAssign>(a: &Csr<V>, perm: &[u32]) -> Csr<V> {
     assert_eq!(perm.len(), a.rows(), "permutation must cover all rows");
     assert_eq!(a.rows(), a.cols(), "symmetric permutation needs square");
     let mut inv = vec![0u32; perm.len()];
@@ -84,7 +85,7 @@ pub fn permute_symmetric<V: Copy>(a: &Csr<V>, perm: &[u32]) -> Csr<V> {
 }
 
 /// Apply `perm` to rows only: `B[i, :] = A[perm[i], :]`.
-pub fn permute_rows<V: Copy>(a: &Csr<V>, perm: &[u32]) -> Csr<V> {
+pub fn permute_rows<V: Copy + AddAssign>(a: &Csr<V>, perm: &[u32]) -> Csr<V> {
     assert_eq!(perm.len(), a.rows(), "permutation must cover all rows");
     let mut triplets = Vec::with_capacity(a.nnz());
     for (new_r, &old_r) in perm.iter().enumerate() {

@@ -19,7 +19,6 @@ fn main() {
             coo.push(r, c, v.abs()).unwrap();
         }
     }
-    coo.canonicalize();
     let g = Graph::new(sparse::convert::coo_to_csr(&coo));
     let dag = forward_orientation(&g);
     let fwd_stats = sparse::RowStats::of(&dag);

@@ -111,7 +111,7 @@ fn csr_coo_csc_roundtrips() {
                 (
                     rng.index(0, 40) as u32,
                     rng.index(0, 30) as u32,
-                    rng.index(0, 20) as f32 - 10.0,
+                    rng.f32_range(-10.0, 10.0),
                 )
             })
             .collect();
@@ -119,8 +119,15 @@ fn csr_coo_csc_roundtrips() {
         for &(r, c, v) in &entries {
             coo.push(r, c, v).unwrap();
         }
+        let raw = sparse::convert::coo_to_csr(&coo);
         coo.canonicalize();
         let csr = sparse::convert::coo_to_csr(&coo);
+        // Assembly sums duplicates in input order, as canonicalize does.
+        let bits = |m: &sparse::Csr<f32>| -> Vec<u32> {
+            m.values().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(raw, csr, "case {case}");
+        assert_eq!(bits(&raw), bits(&csr), "case {case}");
         // CSR ↔ COO
         let back = sparse::convert::coo_to_csr(&sparse::convert::csr_to_coo(&csr));
         assert_eq!(csr, back, "case {case}");
@@ -160,6 +167,152 @@ fn spmv_schedules_agree_on_random_matrices() {
             assert!(err < 2e-3, "{kind} err {err} on {rows}x{cols} seed {seed}");
         }
     }
+}
+
+/// The ordered-map model of [`sparse::delta::apply_in_place`]: the path
+/// rule, the charge, and the post-batch matrix rebuilt through a
+/// `BTreeMap` of every entry (the applier's rebuild before it became a
+/// row-range copy and per-row merge).
+fn apply_model(
+    a: &sparse::Csr<f32>,
+    batch: &sparse::DeltaBatch,
+) -> (sparse::Csr<f32>, sparse::DeltaApply) {
+    use sparse::delta::APPLY_MS_PER_ELEMENT;
+    let mut entries: std::collections::BTreeMap<(u32, u32), f32> =
+        a.iter().map(|(r, c, v)| ((r, c), v)).collect();
+    let patch = batch.deletes.is_empty()
+        && batch
+            .inserts
+            .iter()
+            .all(|&(r, c, _)| entries.contains_key(&(r, c)));
+    let touched = if patch {
+        batch.inserts.len()
+    } else {
+        a.nnz() + batch.len()
+    };
+    for &(r, c) in &batch.deletes {
+        entries.remove(&(r, c));
+    }
+    for &(r, c, v) in &batch.inserts {
+        entries.insert((r, c), v);
+    }
+    let triplets = entries.into_iter().map(|((r, c), v)| (r, c, v)).collect();
+    let model = sparse::Csr::from_triplets(a.rows(), a.cols(), triplets).expect("model");
+    let path = if patch {
+        sparse::ApplyPath::Patched
+    } else {
+        sparse::ApplyPath::Rebuilt
+    };
+    let apply_ms = touched as f64 * APPLY_MS_PER_ELEMENT;
+    (
+        model,
+        sparse::DeltaApply {
+            path,
+            touched,
+            apply_ms,
+        },
+    )
+}
+
+#[test]
+fn apply_in_place_matches_the_ordered_map_model() {
+    // Property: for ANY matrix and batch sequence, the linear-time
+    // applier takes the model's path, charges the model's `touched` and
+    // `apply_ms`, and leaves the model's offsets, columns and value bits.
+    // Matrices mix empty rows with one hub row, and shapes include 1×n
+    // and n×1; batches name the first and last rows, insert one
+    // coordinate twice, delete and re-insert another, delete absent
+    // coordinates, and each case's fourth batch only overwrites stored
+    // coordinates (the patch path).
+    use sparse::{ApplyPath, DeltaBatch};
+    let mut rng = Prng::seed_from_u64(0x6465_6c74);
+    let (mut patched, mut rebuilt, mut absent_deletes) = (0, 0, 0);
+    for case in 0..CASES {
+        let (rows, cols) = match case % 4 {
+            0 => (1, rng.index(1, 40)),
+            1 => (rng.index(1, 40), 1),
+            _ => (rng.index(2, 40), rng.index(2, 40)),
+        };
+        let hub = rng.index(0, rows);
+        let mut triplets = Vec::new();
+        for r in 0..rows {
+            let len = if r == hub {
+                rng.index(cols / 2, cols + 1)
+            } else if rng.chance(0.3) {
+                0
+            } else {
+                rng.index(0, cols.min(4) + 1)
+            };
+            for _ in 0..len {
+                let v = rng.index(1, 64) as f32 / 8.0;
+                triplets.push((r as u32, rng.index(0, cols) as u32, v));
+            }
+        }
+        let mut a = sparse::Csr::from_triplets(rows, cols, triplets).unwrap();
+        for step in 0..6 {
+            let ctx = format!("case {case} step {step}: {rows}x{cols} nnz={}", a.nnz());
+            let stored: Vec<(u32, u32)> = a.iter().map(|(r, c, _)| (r, c)).collect();
+            // By `k % 4`: a stored coordinate, one in the first row, one
+            // in the last row, or any.
+            let pick = |rng: &mut Prng, k: usize| match k % 4 {
+                0 if !stored.is_empty() => stored[rng.index(0, stored.len())],
+                1 => (0, rng.index(0, cols) as u32),
+                2 => ((rows - 1) as u32, rng.index(0, cols) as u32),
+                _ => (rng.index(0, rows) as u32, rng.index(0, cols) as u32),
+            };
+            let value = |rng: &mut Prng| rng.index(1, 1000) as f32 / 16.0;
+            let mut batch = DeltaBatch::default();
+            if step == 3 && !stored.is_empty() {
+                for _ in 0..4 {
+                    let (r, c) = stored[rng.index(0, stored.len())];
+                    batch.inserts.push((r, c, value(&mut rng)));
+                }
+            } else {
+                for k in 0..rng.index(0, 8) {
+                    let (r, c) = pick(&mut rng, k);
+                    batch.inserts.push((r, c, value(&mut rng)));
+                }
+                for k in 0..rng.index(0, 6) {
+                    batch.deletes.push(pick(&mut rng, k));
+                }
+                let (k1, k2) = (rng.index(0, 4), rng.index(0, 4));
+                let twice = pick(&mut rng, k1);
+                let deleted_then_inserted = pick(&mut rng, k2);
+                batch.deletes.push(deleted_then_inserted);
+                for (r, c) in [twice, deleted_then_inserted, twice] {
+                    batch.inserts.push((r, c, value(&mut rng)));
+                }
+            }
+            absent_deletes += batch.deletes.iter().filter(|d| !stored.contains(d)).count();
+            let (model, want) = apply_model(&a, &batch);
+            let id_before = a.structure_id();
+            let got = sparse::delta::apply_in_place(&mut a, &batch).expect("in-bounds batch");
+            assert_eq!(got.path, want.path, "{ctx}: path");
+            assert_eq!(got.touched, want.touched, "{ctx}: touched");
+            assert_eq!(
+                got.apply_ms.to_bits(),
+                want.apply_ms.to_bits(),
+                "{ctx}: apply_ms"
+            );
+            assert_eq!(a.row_offsets(), model.row_offsets(), "{ctx}: offsets");
+            assert_eq!(a.col_indices(), model.col_indices(), "{ctx}: columns");
+            let bits = |m: &sparse::Csr<f32>| -> Vec<u32> {
+                m.values().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&a), bits(&model), "{ctx}: value bits");
+            match got.path {
+                ApplyPath::Patched => {
+                    patched += 1;
+                    assert_eq!(a.structure_id(), id_before, "{ctx}: a patch keeps the id");
+                }
+                ApplyPath::Rebuilt => {
+                    rebuilt += 1;
+                    assert_ne!(a.structure_id(), id_before, "{ctx}: a rebuild mints an id");
+                }
+            }
+        }
+    }
+    assert!(patched > 0 && rebuilt > 0 && absent_deletes > 0, "coverage");
 }
 
 #[test]
