@@ -19,6 +19,14 @@
 
 use crate::work::TileSet;
 use simt::{GpuSpec, GroupCtx, LaneCtx, LaunchConfig};
+use std::cell::Cell;
+
+thread_local! {
+    /// [`GroupMappedSchedule::process_batches`]' atom → local-tile map. One
+    /// buffer per host thread serves every batch, group and launch; its
+    /// capacity is the largest batch it has held.
+    static TILE_MAP: Cell<Vec<u16>> = const { Cell::new(Vec::new()) };
+}
 
 /// Group-mapped (cooperative-groups) schedule over a tile set.
 #[derive(Debug, Clone, Copy)]
@@ -129,6 +137,12 @@ impl<'w, W: TileSet> GroupMappedSchedule<'w, W> {
     /// per-tile result needs no global atomics — this is the cooperative
     /// composition §3.3 of the paper gestures at ("combine the results with
     /// neighboring threads").
+    ///
+    /// Host-side, `get_tile` reads a map from each atom of the batch to
+    /// its local tile, built once per batch in O(atoms + group size),
+    /// where [`Self::process`] binary-searches per atom; the simulated
+    /// cost and every result are the same. The map stores a local tile in
+    /// a `u16`, so a group may be at most 65,536 lanes wide.
     pub fn process_batches(
         &self,
         g: &mut GroupCtx<'_>,
@@ -137,13 +151,18 @@ impl<'w, W: TileSet> GroupMappedSchedule<'w, W> {
     ) {
         let gs = self.group_size as usize;
         debug_assert_eq!(g.size() as usize, gs, "launch group size mismatch");
+        assert!(
+            gs <= 1 << 16,
+            "a group of {gs} lanes overflows the u16 tile map"
+        );
         let num_tiles = self.work.num_tiles();
         let stride = (g.num_groups_in_grid() as usize) * gs;
         let mut scan = g.alloc_shared::<u64>(gs);
         let mut sums = g.alloc_shared::<f32>(gs);
+        let mut map = TILE_MAP.take();
         let mut base = g.global_group_id() as usize * gs;
         while base < num_tiles {
-            let counts = g.phase(|lane| {
+            g.phase_into(&mut scan, |lane| {
                 let tile = base + lane.group_rank() as usize;
                 lane.charge_tile();
                 lane.charge_shared();
@@ -153,22 +172,29 @@ impl<'w, W: TileSet> GroupMappedSchedule<'w, W> {
                     0
                 }
             });
-            scan.copy_from_slice(&counts);
             let total_atoms = g.exclusive_scan(&mut scan) as usize;
-            sums.iter_mut().for_each(|s| *s = 0.0);
+            sums.fill(0.0);
+            // Local tile `t` owns atoms `scan[t]..scan[t + 1]` (the last
+            // one up to the total), so the map is one fill per tile. The
+            // exact reserve keeps the kept buffer at the largest batch.
+            map.clear();
+            map.reserve_exact(total_atoms);
+            let ends = scan[1..].iter().map(|&s| s as usize).chain([total_atoms]);
+            for (t, end) in ends.enumerate() {
+                map.resize(end, t as u16);
+            }
             // Balanced atom loop accumulating per-tile partials in
             // scratchpad (lanes of a group execute phase-sequentially in
             // the simulator, so the shared accumulation is race-free; on
             // hardware this is the segmented-reduce tree charged below).
             g.phase_for_each(|lane| {
-                let mut a = lane.group_rank() as usize;
-                while a < total_atoms {
-                    let local_tile = scan.partition_point(|&s| s <= a as u64) - 1;
-                    // get_tile(): a binary search in the scratchpad prefix
-                    // sums; consecutive strided atoms move monotonically
-                    // through the batch, so real implementations resume the
-                    // scan from the previous hit — charge the amortized
-                    // two-probe cost rather than a full log2(group) search.
+                let rank = lane.group_rank() as usize;
+                for (a, &local_tile) in map.iter().enumerate().skip(rank).step_by(gs) {
+                    let local_tile = usize::from(local_tile);
+                    // get_tile(): on hardware a binary search in the
+                    // scratchpad prefix sums that resumes from the previous
+                    // hit — charge the amortized two-probe cost, as
+                    // `process` does.
                     lane.charge(lane.model().shared_access_cost * 2.0);
                     let tile = base + local_tile;
                     let within = a - scan[local_tile] as usize;
@@ -176,7 +202,6 @@ impl<'w, W: TileSet> GroupMappedSchedule<'w, W> {
                     lane.charge_atom();
                     lane.charge_range_iter();
                     sums[local_tile] += per_atom(lane, tile, atom);
-                    a += gs;
                 }
             });
             // Segmented reduction across lanes (tree): one collective.
@@ -192,6 +217,7 @@ impl<'w, W: TileSet> GroupMappedSchedule<'w, W> {
             });
             base += stride;
         }
+        TILE_MAP.set(map);
     }
 
     /// The wrapped tile set.

@@ -141,6 +141,11 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
     /// serving runtime caches this table per matrix so repeated launches
     /// skip the search.
     ///
+    /// The table is built in one walk along the merge path, O(tiles +
+    /// threads): the boundaries' diagonals increase, so each one's tile
+    /// coordinate resumes from the previous one's, or from `d − atoms`
+    /// (the lowest coordinate the diagonal allows) when that is further.
+    ///
     /// # Panics
     ///
     /// The table stores each boundary's tile coordinate as `u32`. A tile
@@ -149,11 +154,19 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
     /// threads replay the wrong rows), this panics with the offending
     /// value.
     pub fn partition(&self) -> Vec<u32> {
-        let total = self.total_work();
-        let n = self.num_threads();
-        (0..=n)
+        let (tiles, atoms) = (self.work.num_tiles(), self.work.num_atoms());
+        let total = tiles + atoms;
+        let mut t = 0;
+        (0..=self.num_threads())
             .map(|i| {
-                let (t, _) = self.diagonal_search((i * self.items_per_thread).min(total));
+                let d = (i * self.items_per_thread).min(total);
+                // `diagonal_search(d)`'s predicate, stepped instead of
+                // bisected: consume tile `t`'s boundary while its end
+                // offset merges before the diagonal.
+                t = t.max(d.saturating_sub(atoms));
+                while t < d.min(tiles) && self.work.tile_offset(t + 1) <= d - 1 - t {
+                    t += 1;
+                }
                 u32::try_from(t).unwrap_or_else(|_| {
                     panic!(
                         "merge-path partition: boundary tile coordinate {t} exceeds \
@@ -407,6 +420,40 @@ mod tests {
                     v
                 };
                 assert_eq!(collect(true), collect(false), "ipt={ipt}");
+            }
+        }
+    }
+
+    #[test]
+    fn partition_walk_matches_the_diagonal_search_at_every_boundary() {
+        let mut rng = sparse::Prng::seed_from_u64(0x5eed_0025);
+        let mut shapes: Vec<Vec<usize>> = vec![
+            vec![],               // no tiles, no atoms
+            vec![0; 9],           // tiles, every one empty
+            vec![57],             // one tile holding every atom
+            vec![0, 0, 31, 0, 0], // ... among empty tiles
+        ];
+        for _ in 0..40 {
+            let tiles = rng.index(0, 60);
+            shapes.push(
+                (0..tiles)
+                    .map(|_| match rng.index(0, 10) {
+                        0..=2 => 0,
+                        3 => rng.index(50, 300),
+                        _ => rng.index(1, 12),
+                    })
+                    .collect(),
+            );
+        }
+        for counts in shapes {
+            let w = CountedTiles::from_counts(counts.clone());
+            for ipt in 1..=100 {
+                let sched = MergePathSchedule::new(&w, ipt);
+                let total = sched.total_work();
+                let searched: Vec<u32> = (0..=sched.num_threads())
+                    .map(|i| sched.diagonal_search((i * ipt).min(total)).0 as u32)
+                    .collect();
+                assert_eq!(sched.partition(), searched, "{counts:?}, ipt {ipt}");
             }
         }
     }

@@ -14,7 +14,7 @@
 
 use crate::cost::{CostModel, MemCounters, MemSummary};
 use crate::error::LaunchError;
-use crate::group::GroupCtx;
+use crate::group::{GroupCtx, PhaseLog};
 use crate::lane::LaneCtx;
 use crate::shared::{SharedBuf, SharedTracker};
 use crate::spec::GpuSpec;
@@ -33,6 +33,20 @@ pub struct BlockCtx<'a> {
     prologue_charged: bool,
     stats: bool,
     error: Option<LaunchError>,
+    /// Lent to each group in turn by [`Self::for_each_group`].
+    group_log: PhaseLog,
+    /// The warp [`Self::for_each_group`] is aggregating.
+    open_warp: OpenWarp,
+}
+
+/// Per phase, what a warp has been charged so far by the groups with a
+/// lane in it: the maximum of their phase maxima, and (traced only) each
+/// of its lanes' units, `warp_size` values per phase. A lane that did not
+/// run a phase reads 0.
+#[derive(Debug, Default)]
+struct OpenWarp {
+    charge: Vec<f64>,
+    lane_units: Vec<f64>,
 }
 
 /// Aggregated cost of one executed block, consumed by the timing model.
@@ -45,12 +59,12 @@ pub struct BlockCost {
     /// `warp_size` lanes adds how far its units fall short of the warp's
     /// maximum (a lane past the end of a partial warp adds the whole
     /// maximum), and a [`BlockCtx::sync`] adds the wait of all
-    /// `warp_size` lanes. `idle / cost` is the warp's idle-lane
-    /// equivalents, exactly 0 when every lane ran the warp's full cost.
-    /// Collected only when the launch is traced (empty otherwise, so
-    /// untraced launches allocate nothing extra); group phases are
-    /// barrier-aligned and add nothing, i.e. no intra-group divergence
-    /// is attributed.
+    /// `warp_size` lanes. Group phases follow the same rule against the
+    /// warp's charge for the phase (see [`BlockCtx::for_each_group`]).
+    /// `idle / cost` is the warp's idle-lane equivalents, exactly 0 when
+    /// every lane ran the warp's full cost. Collected only when the launch
+    /// is traced (empty otherwise, so untraced launches allocate nothing
+    /// extra).
     pub warp_idle: Vec<f64>,
     /// Memory traffic and atomic counts.
     pub mem: MemSummary,
@@ -106,6 +120,11 @@ impl<'a> BlockCtx<'a> {
             prologue_charged: false,
             stats,
             error: None,
+            group_log: PhaseLog {
+                maxima: Vec::new(),
+                lane_units: stats.then(Vec::new),
+            },
+            open_warp: OpenWarp::default(),
         }
     }
 
@@ -233,13 +252,16 @@ impl<'a> BlockCtx<'a> {
     /// Partition the block into cooperative groups of `group_size`
     /// consecutive threads and run `f` once per group.
     ///
-    /// `group_size` must evenly tile the block. Group phases carry barrier
-    /// semantics:
-    ///
-    /// * groups at least one warp wide charge each covered warp the
-    ///   *group's* per-phase maximum (barrier across the group's warps);
-    /// * sub-warp groups run lockstep with their warp-mates, so the warp is
-    ///   charged, per phase, the maximum across all groups sharing it.
+    /// `group_size` must evenly tile the block; it need not divide the
+    /// warp, nor the warp it. A group phase ends with a barrier across the
+    /// group, so it lasts the group's slowest lane, and lanes of several
+    /// groups that share a warp run in lockstep. One rule covers both:
+    /// each warp is charged, per phase, the maximum phase cost over the
+    /// groups that have a lane in it. A traced block books, per phase,
+    /// each of the warp's lanes' shortfall from that charge; a collective
+    /// or a [`GroupCtx::sync`] counts as every lane of its group spending
+    /// the step, and a lane that did not run the phase (its group ran
+    /// fewer, or it lies past the block's end) books the whole charge.
     pub fn for_each_group(&mut self, group_size: u32, mut f: impl FnMut(&mut GroupCtx<'_>)) {
         if group_size == 0 || !self.block_dim.is_multiple_of(group_size) {
             self.error = Some(LaunchError::BadGroupSize {
@@ -248,61 +270,64 @@ impl<'a> BlockCtx<'a> {
             });
             return;
         }
-        let warp_size = self.spec.warp_size;
-        let num_groups = self.block_dim / group_size;
-        if group_size >= warp_size {
-            // A group spans one or more whole warps.
-            let warps_per_group = (group_size / warp_size).max(1) as usize;
-            for g in 0..num_groups {
-                let mut gc = GroupCtx::new(
-                    g,
-                    group_size,
-                    self.block_idx,
-                    self.block_dim,
-                    self.grid_dim,
-                    warp_size,
-                    self.model,
-                    &self.counters,
-                    &self.shared,
-                );
-                f(&mut gc);
-                let total: f64 = gc.into_phase_maxima().iter().sum();
-                let first_warp = (g as usize) * warps_per_group;
-                for w in first_warp..first_warp + warps_per_group {
-                    self.warp_costs[w] += total;
+        let (ws, gs) = (self.spec.warp_size as usize, group_size as usize);
+        let mut log = std::mem::take(&mut self.group_log);
+        let mut warp = std::mem::take(&mut self.open_warp);
+        for g in 0..self.block_dim / group_size {
+            let mut gc = GroupCtx::new(
+                g,
+                group_size,
+                self.block_idx,
+                self.block_dim,
+                self.grid_dim,
+                self.spec.warp_size,
+                self.model,
+                &self.counters,
+                &self.shared,
+                log,
+            );
+            f(&mut gc);
+            log = gc.into_log();
+            let (lo, hi) = (g as usize * gs, (g as usize + 1) * gs);
+            // Groups run in order, so a warp is open across groups only
+            // while the group holding its last lane has yet to run.
+            for w in lo / ws..=(hi - 1) / ws {
+                let (first, end) = (w * ws, ((w + 1) * ws).min(self.block_dim as usize));
+                if first >= lo {
+                    warp.charge.clear();
+                    warp.lane_units.clear();
                 }
-            }
-        } else {
-            // Several groups share each warp; aggregate per-phase maxima.
-            let groups_per_warp = warp_size / group_size;
-            let mut warp_phase: Vec<Vec<f64>> = vec![Vec::new(); self.warp_costs.len()];
-            for g in 0..num_groups {
-                let mut gc = GroupCtx::new(
-                    g,
-                    group_size,
-                    self.block_idx,
-                    self.block_dim,
-                    self.grid_dim,
-                    warp_size,
-                    self.model,
-                    &self.counters,
-                    &self.shared,
-                );
-                f(&mut gc);
-                let maxima = gc.into_phase_maxima();
-                let w = (g / groups_per_warp) as usize;
-                let slot = &mut warp_phase[w];
-                if slot.len() < maxima.len() {
-                    slot.resize(maxima.len(), 0.0);
+                if warp.charge.len() < log.maxima.len() {
+                    warp.charge.resize(log.maxima.len(), 0.0);
                 }
-                for (p, m) in maxima.into_iter().enumerate() {
-                    slot[p] = slot[p].max(m);
+                for (c, &m) in warp.charge.iter_mut().zip(&log.maxima) {
+                    *c = c.max(m);
                 }
-            }
-            for (w, phases) in warp_phase.into_iter().enumerate() {
-                self.warp_costs[w] += phases.iter().sum::<f64>();
+                if let Some(units) = &log.lane_units {
+                    warp.lane_units.resize(warp.charge.len() * ws, 0.0);
+                    let (from, to) = (lo.max(first), hi.min(end));
+                    for p in 0..log.maxima.len() {
+                        warp.lane_units[p * ws + from - first..p * ws + to - first]
+                            .copy_from_slice(&units[p * gs + from - lo..p * gs + to - lo]);
+                    }
+                }
+                if end <= hi {
+                    self.warp_costs[w] += warp.charge.iter().sum::<f64>();
+                    if self.stats {
+                        let mut idle = 0.0f64;
+                        let phases = warp.charge.iter().zip(warp.lane_units.chunks_exact(ws));
+                        for (&c, lanes) in phases {
+                            for &u in lanes {
+                                idle += c - u;
+                            }
+                        }
+                        self.warp_idle[w] += idle;
+                    }
+                }
             }
         }
+        self.group_log = log;
+        self.open_warp = warp;
     }
 
     /// `__syncthreads`: aligns every warp of the block to the slowest one.
@@ -501,16 +526,171 @@ mod tests {
     }
 
     #[test]
-    fn stats_on_group_phase_reports_no_idle_lanes() {
+    fn stats_on_group_phase_books_each_lanes_wait_for_the_barrier() {
         let spec = GpuSpec::test_tiny(); // warp = 8
         let model = CostModel::standard();
-        let mut b = BlockCtx::with_stats(0, 16, 16, 4096, &spec, &model, true);
-        b.for_each_group(16, |g| {
-            g.phase_for_each(|l| l.charge(if l.group_rank() == 0 { 5.0 } else { 1.0 }));
+        let run = |stats: bool| {
+            let mut b = BlockCtx::with_stats(0, 16, 16, 4096, &spec, &model, stats);
+            b.for_each_group(16, |g| {
+                g.phase_for_each(|l| l.charge(if l.group_rank() == 0 { 5.0 } else { 1.0 }));
+            });
+            b.finish().unwrap()
+        };
+        let (plain, traced) = (run(false), run(true));
+        assert_eq!(
+            plain.warp_costs, traced.warp_costs,
+            "stats must not perturb costs"
+        );
+        assert_eq!(plain.warp_idle.capacity(), 0, "no hidden allocation");
+        // Both warps are charged lane 0's p + 5. Warp 0's seven other
+        // lanes and all eight of warp 1's wait 4 units each.
+        assert_eq!(traced.warp_idle, vec![28.0, 32.0]);
+    }
+
+    #[test]
+    fn groups_that_straddle_warps_charge_every_warp_they_touch() {
+        // Block 24 on 8-wide warps, every lane charging 100 + its rank:
+        // each of the three warps pays the prologue plus its groups'
+        // heaviest lane, whatever the group size.
+        let spec = GpuSpec::test_tiny();
+        let model = CostModel::standard();
+        let run = |group_size: u32, stats: bool| {
+            let mut b = BlockCtx::with_stats(0, 24, 1, 0, &spec, &model, stats);
+            b.for_each_group(group_size, |g| {
+                g.phase_for_each(|l| l.charge(100.0 + f64::from(l.group_rank())));
+            });
+            b.finish().unwrap()
+        };
+        for (group_size, total) in [(3, 330.0), (6, 339.0), (12, 357.0)] {
+            let cost = run(group_size, false);
+            assert_eq!(cost.total_units(), total, "groups of {group_size}");
+            assert_eq!(cost.warp_costs, run(group_size, true).warp_costs);
+        }
+        // Groups of 12, each charged its rank-11 lane's p + 111: warp 1
+        // holds ranks 8..12 of group 0 and ranks 0..4 of group 1.
+        let traced = run(12, true);
+        let group0 = (0..8).map(|r| 11.0 - f64::from(r)).sum::<f64>();
+        let shared = (8..12).map(|r| 11.0 - f64::from(r)).sum::<f64>()
+            + (0..4).map(|r| 11.0 - f64::from(r)).sum::<f64>();
+        let group1 = (4..12).map(|r| 11.0 - f64::from(r)).sum::<f64>();
+        assert_eq!(traced.warp_idle, vec![group0, shared, group1]);
+    }
+
+    #[test]
+    fn group_phases_match_a_per_warp_reference_on_random_shapes() {
+        // Groups of every size that tiles the block, each running its own
+        // number of phases with seeded charges, against the rule computed
+        // warp by warp: per phase, the max over the groups with a lane in
+        // it; traced, each lane's shortfall from that, 0 units for a lane
+        // that did not run the phase.
+        let spec = GpuSpec::test_tiny(); // warp = 8
+        let model = CostModel::standard();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for block in [8u32, 12, 24, 32] {
+            for group in (1..=block).filter(|g| block % g == 0) {
+                let phases: Vec<usize> = (0..block / group)
+                    .map(|_| 1 + next() as usize % 4)
+                    .collect();
+                let charge: Vec<f64> = (0..block * 4)
+                    .map(|_| (next() % 1000) as f64 / 7.0)
+                    .collect();
+                // units[p][t]: thread t's units in phase p, 0 if not run.
+                let units = |p: usize, t: usize| {
+                    if p >= phases[t / group as usize] {
+                        0.0
+                    } else if p == 0 {
+                        model.thread_prologue_cost + charge[t]
+                    } else {
+                        0.0 + charge[p * block as usize + t]
+                    }
+                };
+                let (ws, bd) = (spec.warp_size as usize, block as usize);
+                let mut want_cost = Vec::new();
+                let mut want_idle = Vec::new();
+                for w in 0..bd.div_ceil(ws) {
+                    let lanes = w * ws..((w + 1) * ws).min(bd);
+                    let groups = lanes.start / group as usize..=(lanes.end - 1) / group as usize;
+                    let n = groups.clone().map(|g| phases[g]).max().unwrap();
+                    let max_of = |p: usize, g: usize| {
+                        let members = g * group as usize..(g + 1) * group as usize;
+                        members.map(|t| units(p, t)).fold(0.0, f64::max)
+                    };
+                    let c: Vec<f64> = (0..n)
+                        .map(|p| groups.clone().map(|g| max_of(p, g)).fold(0.0, f64::max))
+                        .collect();
+                    want_cost.push(0.0 + c.iter().sum::<f64>());
+                    let mut idle = 0.0f64;
+                    for (p, &cp) in c.iter().enumerate() {
+                        for i in 0..ws {
+                            let t = w * ws + i;
+                            idle += cp - if t < bd { units(p, t) } else { 0.0 };
+                        }
+                    }
+                    want_idle.push(idle);
+                }
+                for stats in [false, true] {
+                    let mut b = BlockCtx::with_stats(0, block, 1, 0, &spec, &model, stats);
+                    b.for_each_group(group, |g| {
+                        for p in 0..phases[g.group_idx() as usize] {
+                            let row = p * block as usize;
+                            g.phase_for_each(|l| l.charge(charge[row + l.thread_idx() as usize]));
+                        }
+                    });
+                    let cost = b.finish().unwrap();
+                    let label = format!("block {block}, groups of {group}, stats {stats}");
+                    assert_eq!(cost.warp_costs, want_cost, "{label}");
+                    let idle = if stats { want_idle.clone() } else { Vec::new() };
+                    assert_eq!(cost.warp_idle, idle, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_idle_lanes_cover_collectives_short_groups_and_partial_warps() {
+        let spec = GpuSpec::test_tiny(); // warp = 8
+        let zero_prologue = CostModel {
+            thread_prologue_cost: 0.0,
+            ..CostModel::standard()
+        };
+        let step = zero_prologue.collective(4);
+        // Block 12: warp 1 holds group 2 and four lanes past the block's
+        // end. Group 0 runs two phases; groups 1 and 2 run one, then a
+        // collective step that every one of their lanes spends.
+        let mut b = BlockCtx::with_stats(0, 12, 1, 0, &spec, &zero_prologue, true);
+        b.for_each_group(4, |g| {
+            g.phase_for_each(|l| l.charge(if l.group_rank() == 0 { 4.0 } else { 1.0 }));
+            if g.group_idx() == 0 {
+                g.phase_for_each(|l| l.charge(2.0));
+            } else {
+                g.charge_collective_step();
+            }
         });
         let cost = b.finish().unwrap();
-        // Barrier-aligned: no divergence is attributed.
-        assert_eq!(cost.warp_idle, vec![0.0, 0.0]);
+        assert_eq!(cost.warp_costs, vec![4.0 + step.max(2.0), 4.0 + step]);
+        // Warp 0, phase 0: six lanes wait 3. Phase 1 is charged
+        // max(step, 2): group 0's lanes ran 2, group 1's the step.
+        let phase1 = 4.0 * (step.max(2.0) - 2.0) + 4.0 * (step.max(2.0) - step);
+        assert_eq!(cost.warp_idle[0], 6.0 * 3.0 + phase1);
+        // Warp 1: three lanes wait 3 in phase 0, the collective costs its
+        // four lanes nothing idle, and the four missing lanes book both
+        // phases whole.
+        assert_eq!(cost.warp_idle[1], 3.0 * 3.0 + 4.0 * (4.0 + step));
+        // Every lane of a warp running the warp's full charge books 0.
+        let standard = CostModel::standard();
+        let mut b = BlockCtx::with_stats(0, 16, 1, 0, &spec, &standard, true);
+        b.for_each_group(4, |g| {
+            g.phase_for_each(|l| l.charge(0.1));
+            g.sync();
+            g.charge_collective_step();
+        });
+        assert_eq!(b.finish().unwrap().warp_idle, vec![0.0, 0.0]);
     }
 
     #[test]

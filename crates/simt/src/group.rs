@@ -15,10 +15,10 @@
 //!   domain idles until the slowest finishes (lockstep / barrier).
 //! * For groups at least one warp wide, the sync domain is the group: the
 //!   phase maximum is charged to *every warp the group covers*.
-//! * For sub-warp groups, lanes of several groups share a warp and run in
-//!   lockstep; the block aggregates per-phase maxima *across the groups in
-//!   each warp* (see [`crate::BlockCtx::for_each_group`]), so a warp is
-//!   charged the max over its co-resident groups, not their sum.
+//! * Lanes of several groups can share a warp and run in lockstep with
+//!   it; the block charges each warp, per phase, the maximum over the
+//!   groups that have a lane in it (see
+//!   [`crate::BlockCtx::for_each_group`]), not their sum.
 
 use crate::cost::{CostModel, MemCounters};
 use crate::lane::LaneCtx;
@@ -35,12 +35,26 @@ pub struct GroupCtx<'a> {
     model: &'a CostModel,
     counters: &'a MemCounters,
     shared: &'a SharedTracker,
-    /// Max lane cost per completed phase (collectives append too).
-    phase_maxima: Vec<f64>,
+    log: PhaseLog,
     phases_run: u32,
 }
 
+/// What a group's phases leave for its block to aggregate. The block
+/// lends one log to each of its groups in turn, cleared, so no group
+/// allocates.
+#[derive(Debug, Default)]
+pub(crate) struct PhaseLog {
+    /// Max lane cost per completed phase (collectives append too).
+    pub(crate) maxima: Vec<f64>,
+    /// Traced blocks only: every lane's units per entry of `maxima`,
+    /// `group_size` values each, in lane order. A collective or a `sync`
+    /// books its step for every lane. `None` when untraced, so nothing is
+    /// recorded.
+    pub(crate) lane_units: Option<Vec<f64>>,
+}
+
 impl<'a> GroupCtx<'a> {
+    /// A group that records its phases into `log`, emptied first.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         group_idx: u32,
@@ -52,7 +66,12 @@ impl<'a> GroupCtx<'a> {
         model: &'a CostModel,
         counters: &'a MemCounters,
         shared: &'a SharedTracker,
+        mut log: PhaseLog,
     ) -> Self {
+        log.maxima.clear();
+        if let Some(u) = &mut log.lane_units {
+            u.clear();
+        }
         Self {
             group_idx,
             group_size,
@@ -63,7 +82,7 @@ impl<'a> GroupCtx<'a> {
             model,
             counters,
             shared,
-            phase_maxima: Vec::new(),
+            log,
             phases_run: 0,
         }
     }
@@ -128,6 +147,24 @@ impl<'a> GroupCtx<'a> {
     /// group barrier. Returns the per-lane results.
     pub fn phase<T>(&mut self, mut f: impl FnMut(&LaneCtx<'_>) -> T) -> Vec<T> {
         let mut out = Vec::with_capacity(self.group_size as usize);
+        self.phase_for_each(|lane| out.push(f(lane)));
+        out
+    }
+
+    /// [`Self::phase`] writing lane `r`'s result to `out[r]` (say, a
+    /// shared-memory buffer) instead of returning a new `Vec`. `out.len()`
+    /// must equal the group size.
+    pub fn phase_into<T>(&mut self, out: &mut [T], mut f: impl FnMut(&LaneCtx<'_>) -> T) {
+        assert_eq!(
+            out.len(),
+            self.group_size as usize,
+            "phase output must have one element per lane"
+        );
+        self.phase_for_each(|lane| out[lane.group_rank() as usize] = f(lane));
+    }
+
+    /// Run one phase for side effects only.
+    pub fn phase_for_each(&mut self, mut f: impl FnMut(&LaneCtx<'_>)) {
         let mut max_cost = 0.0f64;
         let prologue = if self.phases_run == 0 {
             self.model.thread_prologue_cost
@@ -147,23 +184,29 @@ impl<'a> GroupCtx<'a> {
                 self.counters,
             );
             lane.charge(prologue);
-            out.push(f(&lane));
-            max_cost = max_cost.max(lane.units());
+            f(&lane);
+            let units = lane.units();
+            if let Some(u) = &mut self.log.lane_units {
+                u.push(units);
+            }
+            max_cost = max_cost.max(units);
         }
         self.phases_run += 1;
-        self.phase_maxima.push(max_cost);
-        out
-    }
-
-    /// Run one phase for side effects only.
-    pub fn phase_for_each(&mut self, mut f: impl FnMut(&LaneCtx<'_>)) {
-        let _ = self.phase(|l| f(l));
+        self.log.maxima.push(max_cost);
     }
 
     // ---- collectives -----------------------------------------------------
 
+    /// Record one group-wide step of `cost` that every lane spends.
+    fn step(&mut self, cost: f64) {
+        self.log.maxima.push(cost);
+        if let Some(u) = &mut self.log.lane_units {
+            u.extend(std::iter::repeat_n(cost, self.group_size as usize));
+        }
+    }
+
     fn charge_collective(&mut self) {
-        self.phase_maxima.push(self.model.collective(self.group_size));
+        self.step(self.model.collective(self.group_size));
         for _ in 0..self.group_size {
             self.counters.add_shared();
         }
@@ -231,7 +274,7 @@ impl<'a> GroupCtx<'a> {
     /// `__shfl_sync`). Cost: one collective step.
     pub fn broadcast<T: Copy>(&mut self, vals: &[T], src: u32) -> T {
         assert_eq!(vals.len(), self.group_size as usize);
-        self.phase_maxima.push(self.model.scan_step_cost);
+        self.step(self.model.scan_step_cost);
         vals[src as usize]
     }
 
@@ -240,7 +283,7 @@ impl<'a> GroupCtx<'a> {
     /// Cost: one collective step.
     pub fn shfl_down<T: Copy>(&mut self, vals: &[T], delta: u32) -> Vec<T> {
         assert_eq!(vals.len(), self.group_size as usize);
-        self.phase_maxima.push(self.model.scan_step_cost);
+        self.step(self.model.scan_step_cost);
         (0..vals.len())
             .map(|r| {
                 let src = r + delta as usize;
@@ -257,7 +300,7 @@ impl<'a> GroupCtx<'a> {
     /// below the edge keep their own). Cost: one collective step.
     pub fn shfl_up<T: Copy>(&mut self, vals: &[T], delta: u32) -> Vec<T> {
         assert_eq!(vals.len(), self.group_size as usize);
-        self.phase_maxima.push(self.model.scan_step_cost);
+        self.step(self.model.scan_step_cost);
         (0..vals.len())
             .map(|r| {
                 if r >= delta as usize {
@@ -278,7 +321,7 @@ impl<'a> GroupCtx<'a> {
             self.group_size.is_power_of_two(),
             "xor shuffle needs a power-of-two group"
         );
-        self.phase_maxima.push(self.model.scan_step_cost);
+        self.step(self.model.scan_step_cost);
         (0..vals.len())
             .map(|r| vals[(r ^ mask as usize) % vals.len()])
             .collect()
@@ -287,11 +330,12 @@ impl<'a> GroupCtx<'a> {
     /// Explicit extra barrier (phases already sync; this adds a zero-cost
     /// alignment point kept for API parity with CUDA's `group.sync()`).
     pub fn sync(&mut self) {
-        self.phase_maxima.push(0.0);
+        self.step(0.0);
     }
 
-    pub(crate) fn into_phase_maxima(self) -> Vec<f64> {
-        self.phase_maxima
+    /// Hand the phase log back to the block.
+    pub(crate) fn into_log(self) -> PhaseLog {
+        self.log
     }
 }
 
@@ -315,7 +359,8 @@ mod tests {
         counters: &'a MemCounters,
         shared: &'a SharedTracker,
     ) -> GroupCtx<'a> {
-        GroupCtx::new(1, 8, 2, 32, 10, 8, model, counters, shared)
+        let log = PhaseLog::default();
+        GroupCtx::new(1, 8, 2, 32, 10, 8, model, counters, shared, log)
     }
 
     #[test]
@@ -340,10 +385,18 @@ mod tests {
             l.group_rank()
         });
         assert_eq!(ranks, (0..8).collect::<Vec<_>>());
-        let maxima = g.into_phase_maxima();
-        assert_eq!(maxima.len(), 1);
-        // prologue + heaviest lane (rank 7)
+        // The same phase written in place: lane r's result lands in out[r].
+        let mut out = [0u32; 8];
+        g.phase_into(&mut out, |l| {
+            l.charge(f64::from(l.group_rank()));
+            7 - l.group_rank()
+        });
+        assert_eq!(out, [7, 6, 5, 4, 3, 2, 1, 0]);
+        let maxima = g.into_log().maxima;
+        assert_eq!(maxima.len(), 2);
+        // prologue + heaviest lane (rank 7), then the heaviest lane alone
         assert!((maxima[0] - (m.thread_prologue_cost + 7.0)).abs() < 1e-12);
+        assert_eq!(maxima[1], 7.0);
     }
 
     #[test]
@@ -354,7 +407,7 @@ mod tests {
         let mut g = ctx(&m, &c, &s);
         g.phase_for_each(|_| {});
         g.phase_for_each(|l| l.charge(1.0));
-        let maxima = g.into_phase_maxima();
+        let maxima = g.into_log().maxima;
         assert!((maxima[0] - m.thread_prologue_cost).abs() < 1e-12);
         assert!((maxima[1] - 1.0).abs() < 1e-12);
     }
@@ -379,7 +432,7 @@ mod tests {
         let mut g = ctx(&m, &c, &s);
         let sum = g.reduce_sum_u64(&[1; 8]);
         assert_eq!(sum, 8);
-        let maxima = g.into_phase_maxima();
+        let maxima = g.into_log().maxima;
         assert_eq!(maxima, vec![m.collective(8)]);
     }
 
@@ -433,7 +486,7 @@ mod tests {
         let m = CostModel::standard();
         let c = MemCounters::new();
         let s = SharedTracker::new(1024);
-        let mut g = GroupCtx::new(0, 3, 0, 3, 1, 8, &m, &c, &s);
+        let mut g = GroupCtx::new(0, 3, 0, 3, 1, 8, &m, &c, &s, PhaseLog::default());
         let _ = g.shfl_xor(&[1, 2, 3], 1);
     }
 
@@ -458,7 +511,7 @@ mod tests {
         let mut g = ctx(&m, &c, &s);
         assert_eq!(g.reduce_max_u64(&[3, 9, 1, 7, 2, 2, 8, 0]), 9);
         // Single-lane group: collectives degenerate gracefully.
-        let mut g1 = GroupCtx::new(0, 1, 0, 8, 1, 8, &m, &c, &s);
+        let mut g1 = GroupCtx::new(0, 1, 0, 8, 1, 8, &m, &c, &s, PhaseLog::default());
         let mut v = vec![5u64];
         assert_eq!(g1.exclusive_scan(&mut v), 5);
         assert_eq!(v, vec![0]);
@@ -475,7 +528,7 @@ mod tests {
         let mut g = ctx(&m, &c, &s);
         g.sync();
         g.phase_for_each(|_| {});
-        let maxima = g.into_phase_maxima();
+        let maxima = g.into_log().maxima;
         assert_eq!(maxima[0], 0.0);
     }
 
@@ -498,7 +551,7 @@ mod tests {
         let mut v = vec![1u64; 8];
         g.exclusive_scan(&mut v);
         g.ballot_count(&[false; 8]);
-        let maxima = g.into_phase_maxima();
+        let maxima = g.into_log().maxima;
         assert_eq!(maxima.len(), 2);
         assert!(maxima.iter().all(|&x| (x - m.collective(8)).abs() < 1e-12));
     }

@@ -260,11 +260,69 @@ mod legacy {
         bin_of, GroupMappedSchedule, LrbSchedule, MergePathSchedule, ScheduleKind,
         ThreadMappedSchedule, WorkQueueSchedule,
     };
-    use loops::work::SubsetTiles;
-    use simt::{CostModel, GlobalMem, GpuSpec, LaunchConfig, LaunchReport};
+    use loops::work::{SubsetTiles, TileSet};
+    use simt::{CostModel, GlobalMem, GpuSpec, GroupCtx, LaneCtx, LaunchConfig, LaunchReport};
     use sparse::Csr;
 
     const MERGE_ITEMS_PER_THREAD: usize = 7;
+
+    /// The group-mapped batch loop (transform, then reduce by tile) as it
+    /// stood before the engine's tile map: each lane's count comes back
+    /// from `g.phase`, and every atom finds its tile with a binary search
+    /// of the scanned counts.
+    fn process_batches<W: TileSet>(
+        work: &W,
+        group_size: u32,
+        g: &mut GroupCtx<'_>,
+        mut per_atom: impl FnMut(&LaneCtx<'_>, usize, usize) -> f32,
+        mut per_tile: impl FnMut(&LaneCtx<'_>, usize, f32),
+    ) {
+        let gs = group_size as usize;
+        let num_tiles = work.num_tiles();
+        let stride = (g.num_groups_in_grid() as usize) * gs;
+        let mut scan = g.alloc_shared::<u64>(gs);
+        let mut sums = g.alloc_shared::<f32>(gs);
+        let mut base = g.global_group_id() as usize * gs;
+        while base < num_tiles {
+            let counts = g.phase(|lane| {
+                let tile = base + lane.group_rank() as usize;
+                lane.charge_tile();
+                lane.charge_shared();
+                if tile < num_tiles {
+                    work.atoms_in_tile(tile) as u64
+                } else {
+                    0
+                }
+            });
+            scan.copy_from_slice(&counts);
+            let total_atoms = g.exclusive_scan(&mut scan) as usize;
+            sums.iter_mut().for_each(|s| *s = 0.0);
+            g.phase_for_each(|lane| {
+                let mut a = lane.group_rank() as usize;
+                while a < total_atoms {
+                    let local_tile = scan.partition_point(|&s| s <= a as u64) - 1;
+                    lane.charge(lane.model().shared_access_cost * 2.0);
+                    let tile = base + local_tile;
+                    let within = a - scan[local_tile] as usize;
+                    let atom = work.tile_offset(tile) + within;
+                    lane.charge_atom();
+                    lane.charge_range_iter();
+                    sums[local_tile] += per_atom(lane, tile, atom);
+                    a += gs;
+                }
+            });
+            g.charge_collective_step();
+            g.phase_for_each(|lane| {
+                let r = lane.group_rank() as usize;
+                let tile = base + r;
+                if tile < num_tiles {
+                    lane.charge_shared();
+                    per_tile(lane, tile, sums[r]);
+                }
+            });
+            base += stride;
+        }
+    }
 
     pub fn spmv_with_model(
         spec: &GpuSpec,
@@ -370,7 +428,9 @@ mod legacy {
         let report = {
             let gy = GlobalMem::new(&mut y);
             simt::launch_groups_with_model(spec, model, cfg, group_size, |g| {
-                sched.process_batches(
+                process_batches(
+                    &work,
+                    group_size,
                     g,
                     |_lane, _tile, nz| values[nz] * x[col_indices[nz] as usize],
                     |lane, tile, sum| {
@@ -471,7 +531,9 @@ mod legacy {
             let cfg = sched.launch_config(block_dim, spec.num_sms * 8);
             let gy = GlobalMem::new(&mut y);
             let r = simt::launch_groups_with_model(spec, model, cfg, group, |g| {
-                sched.process_batches(
+                process_batches(
+                    &view,
+                    group,
                     g,
                     |_lane, _local, nz| values[nz] * x[col_indices[nz] as usize],
                     |lane, local, sum| {
