@@ -19,6 +19,7 @@
 use std::sync::Arc;
 
 use crate::cli::Cli;
+use crate::summary::service_quantile;
 use runtime::{zipf_workload, Runtime, RuntimeConfig, TuneConfig, WorkloadSpec};
 use simt::GpuSpec;
 use sparse::Csr;
@@ -141,19 +142,6 @@ fn run_family(index: usize, name: &str, scale: f64) -> FamilyResult {
         .map(|round| workload(&matrices, warmup_n, seed + 10 * round as u64))
         .collect();
     let steady = workload(&matrices, steady_n, seed + 999);
-
-    // Steady-state quality is the per-request *service* time
-    // (dispatch → completion). Stream clocks persist across serve
-    // calls, so arrival-relative latency would mostly measure the
-    // warm-up tail both runtimes share, not the schedule.
-    let service_quantile = |out: &runtime::ServeResult, q: f64| {
-        let samples: Vec<f64> = out
-            .completions
-            .iter()
-            .map(|c| c.end_ms - c.start_ms)
-            .collect();
-        crate::summary::quantile(&samples, q)
-    };
 
     let mut fixed = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
     // One warm-up stream fills the static plan cache.

@@ -29,6 +29,7 @@
 use std::sync::Arc;
 
 use crate::cli::Cli;
+use crate::summary::service_quantile;
 use kernels::spmv::DEFAULT_BLOCK;
 use runtime::{zipf_workload, Runtime, RuntimeConfig, TuneConfig, WorkloadSpec};
 use simt::{CostModel, GpuSpec};
@@ -212,18 +213,6 @@ fn grid(a: &Csr<f32>) -> Vec<CellRow> {
         });
     }
     cells
-}
-
-fn service_quantile(out: &runtime::ServeResult, q: f64) -> f64 {
-    // Per-request *service* time (dispatch → completion): stream clocks
-    // persist across serve calls, so arrival-relative latency would
-    // mostly measure the shared warm-up tail, not the schedule.
-    let samples: Vec<f64> = out
-        .completions
-        .iter()
-        .map(|c| c.end_ms - c.start_ms)
-        .collect();
-    crate::summary::quantile(&samples, q)
 }
 
 /// Winner labels for the hottest matrix under a tuned runtime.

@@ -25,15 +25,13 @@
 //! determinism contract: every row of the CSV is a pure function of the
 //! seeds, and CI byte-diffs two runs.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use runtime::{zipf_workload, Request, WorkloadSpec};
 use shard::{ShardGroup, ShardGroupConfig};
-use simt::exchange::halo_exchange;
-use simt::{GpuSpec, MultiGpuSpec};
-use sparse::{Csr, ShardPlan, ShardStrategy};
+use simt::GpuSpec;
+use sparse::{Csr, ShardStrategy};
 
 use crate::{Cli, CsvWriter};
 
@@ -77,15 +75,6 @@ const FAMILIES: [Family; 3] = [
     },
 ];
 
-/// Per-request communication charge of `a` at `n` shards — recomputed
-/// here exactly as `ShardGroup::serve_split` charges it, so the comm
-/// share column decomposes the measured makespan rather than guessing.
-fn comm_ms_of(a: &Csr<f32>, n: usize, strategy: ShardStrategy, link: &MultiGpuSpec) -> f64 {
-    let plan = ShardPlan::partition(a, n, strategy);
-    let halo: Vec<u64> = plan.shards.iter().map(|s| s.halo_bytes()).collect();
-    halo_exchange(link, &halo, plan.max_output_bytes()).total_ms()
-}
-
 /// Run the full sweep and return the CSV's path.
 pub fn run(cli: &Cli) -> std::io::Result<PathBuf> {
     let take = cli.limit.unwrap_or(4).max(1);
@@ -114,8 +103,6 @@ pub fn run(cli: &Cli) -> std::io::Result<PathBuf> {
                 seed: 42,
             },
         );
-        let by_id: HashMap<u64, &Arc<Csr<f32>>> =
-            requests.iter().map(|r| (r.id, &r.matrix)).collect();
 
         for strategy in STRATEGIES {
             let mut base_makespan = None;
@@ -125,23 +112,14 @@ pub fn run(cli: &Cli) -> std::io::Result<PathBuf> {
                 cfg.link_bw_gbs = LINK_BW_GBS;
                 cfg.link_latency_us = LINK_LATENCY_US;
                 let mut group = ShardGroup::new(GpuSpec::test_tiny(), cfg);
-                let link = MultiGpuSpec {
-                    device: GpuSpec::test_tiny(),
-                    num_devices: shards as u32,
-                    link_bw_gbs: LINK_BW_GBS,
-                    link_latency_us: LINK_LATENCY_US,
-                };
                 let out = group.serve_split(&requests).expect("serve");
                 let r = &out.report;
                 assert!(r.reconciles(), "report must reconcile");
 
-                let comm_ms: f64 = out
-                    .completions
-                    .iter()
-                    .map(|c| comm_ms_of(by_id[&c.id], shards, strategy, &link))
-                    .sum();
+                // The group's own communication charge, so the comm
+                // share column decomposes the measured makespan.
                 let comm_share = if r.makespan_ms > 0.0 {
-                    (comm_ms / r.makespan_ms).min(1.0)
+                    (r.shard.comm_ms / r.makespan_ms).min(1.0)
                 } else {
                     0.0
                 };

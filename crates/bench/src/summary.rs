@@ -35,6 +35,19 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     }
 }
 
+/// Quantile `q` of a serve's per-request *service* time (dispatch →
+/// completion). Stream clocks persist across serve calls, so
+/// arrival-relative latency would mostly measure the warm-up tail the
+/// compared runtimes share, not the schedule.
+pub fn service_quantile(out: &runtime::ServeResult, q: f64) -> f64 {
+    let samples: Vec<f64> = out
+        .completions
+        .iter()
+        .map(|c| c.end_ms - c.start_ms)
+        .collect();
+    quantile(&samples, q)
+}
+
 /// Fraction of samples satisfying a predicate.
 pub fn fraction(xs: &[f64], pred: impl Fn(f64) -> bool) -> f64 {
     if xs.is_empty() {

@@ -48,6 +48,7 @@ pub mod split;
 pub mod stream;
 pub mod workload;
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -150,11 +151,11 @@ impl Default for RuntimeConfig {
 pub struct Request {
     /// Caller-chosen identifier, echoed in the [`Completion`].
     pub id: u64,
-    /// Tenant the request belongs to. Purely an accounting label — it
-    /// never influences scheduling or routing — but the telemetry layer
-    /// keys per-tenant latency histograms and deadline-miss budgets on
-    /// it. The Zipf workload generator assigns each matrix's popularity
-    /// rank as its tenant.
+    /// Tenant the request belongs to. It never influences scheduling
+    /// within a runtime, but a shard group routes whole tenants to a
+    /// home shard by it, and the telemetry layer keys per-tenant latency
+    /// histograms and deadline-miss budgets on it. The Zipf workload
+    /// generator assigns each matrix's popularity rank as its tenant.
     pub tenant: u32,
     /// The (shared) matrix.
     pub matrix: Arc<Csr<f32>>,
@@ -204,8 +205,8 @@ impl Completion {
 /// Latency `(p50, p99, mean)` over a completion stream, picking each
 /// percentile by nearest rank on the sorted sample (all zero when the
 /// stream is empty). The one picker behind every [`RuntimeReport`]'s
-/// latency fields, sharded or not.
-pub fn latency_stats(completions: &[Completion]) -> (f64, f64, f64) {
+/// latency fields, sharded or not (see [`Ledger::finish`]).
+fn latency_stats(completions: &[Completion]) -> (f64, f64, f64) {
     if completions.is_empty() {
         return (0.0, 0.0, 0.0);
     }
@@ -283,7 +284,7 @@ pub struct DeviceReport {
 /// Counters of the sharded-serving aggregation layer (all zero for a
 /// plain single-runtime serve; filled in by the `shard` crate's group
 /// serving paths).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ShardCounters {
     /// Requests the router forwarded to a shard (whole requests in
     /// routed mode; split requests count once, at their home shard).
@@ -292,6 +293,9 @@ pub struct ShardCounters {
     pub halo_bytes: u64,
     /// Partial-result merges performed (one per split request served).
     pub merges: usize,
+    /// Halo-exchange + merge charge summed over the merges (simulated
+    /// ms): the communication share of the served requests' latency.
+    pub comm_ms: f64,
     /// Requests dropped by the *global* admission layer before routing
     /// (a subset of [`RuntimeReport::rejected`]).
     pub shard_rejects: usize,
@@ -427,10 +431,11 @@ impl fmt::Display for RuntimeReport {
         if self.shard.is_active() {
             writeln!(
                 f,
-                "sharding: {} routed, {} merges, {} halo bytes, {} global rejects",
+                "sharding: {} routed, {} merges, {} halo bytes, {:.4} ms comm, {} global rejects",
                 self.shard.routed,
                 self.shard.merges,
                 self.shard.halo_bytes,
+                self.shard.comm_ms,
                 self.shard.shard_rejects
             )?;
         }
@@ -496,11 +501,17 @@ struct DeviceHealth {
     dead: bool,
 }
 
-/// Every request outcome of one [`Runtime::serve`] call: completions,
-/// drops, the in-flight window and the report's counters. A drop is
-/// listed, counted and traced here and nowhere else.
-#[derive(Default)]
-struct Ledger {
+/// Every request outcome of one serve call: completions, drops, the
+/// in-flight window and the report's counters. [`Runtime::serve`] and
+/// the `shard` crate's group serving paths all record through it, so a
+/// request is admitted, dropped, traced and counted the same way in
+/// every serving loop, and [`Ledger::finish`] is the one place a
+/// [`RuntimeReport`] is built.
+///
+/// The outcomes are private; the caller fills in the public totals that
+/// its pool measured before finishing.
+#[derive(Debug, Default)]
+pub struct Ledger {
     sink: Option<Arc<dyn TraceSink>>,
     completions: Vec<Completion>,
     /// The drops, in decision order; the report's `rejected`,
@@ -514,13 +525,85 @@ struct Ledger {
     device_evictions: usize,
     batches: usize,
     batched_requests: usize,
+    tune_explores: usize,
+    tune_promotes: usize,
+    /// Plan-cache counters of the call ([`RuntimeReport::cache`]).
+    pub cache: CacheStats,
+    /// Sharded-serving counters ([`RuntimeReport::shard`]).
+    pub shard: ShardCounters,
+    /// Per-device totals ([`RuntimeReport::devices`]).
+    pub devices: Vec<DeviceReport>,
 }
 
 impl Ledger {
+    /// An empty ledger that traces outcomes through `sink`.
+    pub fn new(sink: Option<Arc<dyn TraceSink>>) -> Self {
+        Self {
+            sink,
+            ..Self::default()
+        }
+    }
+
+    fn emit(&self, ev: TraceEvent) {
+        if let Some(s) = &self.sink {
+            s.event(&ev);
+        }
+    }
+
+    /// Admit `r` at its arrival against the in-flight window of
+    /// `cfg.queue_depth` jobs, tracing the window's depth. Returns the
+    /// admission time — later than the arrival if [`QueuePolicy::Block`]
+    /// waited for a slot — or `None` once [`QueuePolicy::Reject`] has
+    /// dropped the request.
+    pub fn admit(&mut self, r: &Request, cfg: &RuntimeConfig) -> Option<f64> {
+        let mut t = r.arrival_ms;
+        self.in_flight.retain(|&end| end > t);
+        self.emit(TraceEvent::Counter {
+            counter: CounterKind::QueueDepth,
+            ts_ms: t,
+            value: self.in_flight.len() as f64,
+        });
+        if self.in_flight.len() >= cfg.queue_depth {
+            match cfg.policy {
+                QueuePolicy::Reject => {
+                    self.drop([r], DropReason::Rejected, t);
+                    return None;
+                }
+                QueuePolicy::Block => {
+                    // Wait until enough jobs drain to open a slot.
+                    self.in_flight
+                        .sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                    while self.in_flight.len() >= cfg.queue_depth {
+                        t = t.max(self.in_flight.remove(0));
+                    }
+                    self.in_flight.retain(|&end| end > t);
+                }
+            }
+        }
+        Some(t)
+    }
+
+    /// Hold a window slot until `end_ms`, when an admitted job ends.
+    pub fn occupy(&mut self, end_ms: f64) {
+        self.in_flight.push(end_ms);
+    }
+
+    /// Record `c`, a served request of `tenant`, and trace its tenant
+    /// sample.
+    pub fn served(&mut self, tenant: u32, c: Completion) {
+        self.emit(TraceEvent::TenantSample {
+            tenant,
+            ts_ms: c.end_ms,
+            latency_ms: c.latency_ms(),
+            outcome: TenantOutcome::Served,
+        });
+        self.completions.push(c);
+    }
+
     /// Record `members` as dropped at `ts_ms` for `reason`: one
     /// [`DroppedRequest`] each and, per member, its request phase (none
     /// for `Failed`) then its tenant sample.
-    fn drop<'r>(
+    pub fn drop<'r>(
         &mut self,
         members: impl IntoIterator<Item = &'r Request>,
         reason: DropReason,
@@ -528,23 +611,87 @@ impl Ledger {
     ) {
         for r in members {
             self.dropped.push(DroppedRequest { id: r.id, ts_ms, reason });
-            if let Some(sink) = &self.sink {
-                if let Some(phase) = reason.phase() {
-                    sink.event(&TraceEvent::Request { id: r.id, phase, ts_ms });
-                }
-                sink.event(&TraceEvent::TenantSample {
-                    tenant: r.tenant,
+            if let Some(phase) = reason.phase() {
+                self.emit(TraceEvent::Request {
+                    id: r.id,
+                    phase,
                     ts_ms,
-                    latency_ms: ts_ms - r.arrival_ms,
-                    outcome: reason.outcome(),
                 });
             }
+            self.emit(TraceEvent::TenantSample {
+                tenant: r.tenant,
+                ts_ms,
+                latency_ms: ts_ms - r.arrival_ms,
+                outcome: reason.outcome(),
+            });
         }
+    }
+
+    /// Fold in `out`, another runtime's answer to `requests`: each
+    /// completion and drop is recorded and traced as if it happened
+    /// here, and the counters, cache and tuner totals and device list
+    /// add to this ledger's.
+    pub fn absorb(&mut self, requests: &[Request], out: ServeResult) {
+        let by_id: HashMap<u64, &Request> = requests.iter().map(|r| (r.id, r)).collect();
+        for c in out.completions {
+            self.served(by_id[&c.id].tenant, c);
+        }
+        for d in out.dropped {
+            self.drop([by_id[&d.id]], d.reason, d.ts_ms);
+        }
+        let rep = out.report;
+        self.retries += rep.retries;
+        self.failovers += rep.failovers;
+        self.plan_fallbacks += rep.plan_fallbacks;
+        self.device_evictions += rep.device_evictions;
+        self.batches += rep.batches;
+        self.batched_requests += rep.batched_requests;
+        self.cache.hits += rep.cache.hits;
+        self.cache.misses += rep.cache.misses;
+        self.cache.evictions += rep.cache.evictions;
+        self.tune_explores += rep.tune_explores;
+        self.tune_promotes += rep.tune_promotes;
+        self.devices.extend(rep.devices);
     }
 
     /// Drops recorded for `reason`.
     fn count(&self, reason: DropReason) -> usize {
         self.dropped.iter().filter(|d| d.reason == reason).count()
+    }
+
+    /// Close the ledger over a stream of `submitted` requests: the
+    /// report's outcome counts, latency percentiles and makespan are
+    /// read off the recorded outcomes, the rest from the totals.
+    pub fn finish(self, submitted: usize) -> ServeResult {
+        let (latency_p50_ms, latency_p99_ms, latency_mean_ms) = latency_stats(&self.completions);
+        let report = RuntimeReport {
+            submitted,
+            served: self.completions.len(),
+            rejected: self.count(DropReason::Rejected),
+            deadline_missed: self.count(DropReason::DeadlineMissed),
+            failed: self.count(DropReason::Failed),
+            retries: self.retries,
+            failovers: self.failovers,
+            plan_fallbacks: self.plan_fallbacks,
+            device_evictions: self.device_evictions,
+            batches: self.batches,
+            batched_requests: self.batched_requests,
+            cache: self.cache,
+            tune_explores: self.tune_explores,
+            tune_promotes: self.tune_promotes,
+            latency_p50_ms,
+            latency_p99_ms,
+            latency_mean_ms,
+            makespan_ms: self.completions.iter().fold(0.0f64, |m, c| m.max(c.end_ms)),
+            shard: self.shard,
+            devices: self.devices,
+        };
+        debug_assert!(report.reconciles(), "request accounting must balance");
+        ServeResult {
+            completions: self.completions,
+            dropped: self.dropped,
+            report,
+        }
     }
 }
 
@@ -1305,11 +1452,7 @@ impl Runtime {
                 .then(a.id.cmp(&b.id))
         });
 
-        let mut ledger = Ledger {
-            sink: self.sink.clone(),
-            completions: Vec::with_capacity(order.len()),
-            ..Ledger::default()
-        };
+        let mut ledger = Ledger::new(self.sink.clone());
         // Pending tiny requests: (request, effective submit time). The
         // batch is due a window after its first member joined.
         let mut pending: Vec<(&Request, f64)> = Vec::new();
@@ -1325,7 +1468,6 @@ impl Runtime {
                 "request {}: x must have one entry per column",
                 r.id
             );
-            let mut t = r.arrival_ms;
             self.emit(TraceEvent::Request {
                 id: r.id,
                 phase: RequestPhase::Enqueue,
@@ -1333,34 +1475,13 @@ impl Runtime {
             });
             // A due batch flushes before this arrival is admitted.
             let deadline = due(&pending);
-            if deadline <= t {
+            if deadline <= r.arrival_ms {
                 let at = deadline.max(pending.iter().fold(0.0f64, |m, (_, pt)| m.max(*pt)));
                 self.flush_batch(&mut pending, at, &mut ledger)?;
             }
-            // Admission control against the in-flight window.
-            let in_flight = &mut ledger.in_flight;
-            in_flight.retain(|&end| end > t);
-            self.emit(TraceEvent::Counter {
-                counter: CounterKind::QueueDepth,
-                ts_ms: t,
-                value: in_flight.len() as f64,
-            });
-            if in_flight.len() >= self.cfg.queue_depth {
-                match self.cfg.policy {
-                    QueuePolicy::Reject => {
-                        ledger.drop([r], DropReason::Rejected, t);
-                        continue;
-                    }
-                    QueuePolicy::Block => {
-                        // Wait until enough jobs drain to open a slot.
-                        in_flight.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                        while in_flight.len() >= self.cfg.queue_depth {
-                            t = t.max(in_flight.remove(0));
-                        }
-                        in_flight.retain(|&end| end > t);
-                    }
-                }
-            }
+            let Some(t) = ledger.admit(r, &self.cfg) else {
+                continue;
+            };
             // Deadline check at admission: a blocked queue may already
             // have eaten the request's whole budget.
             if t > r.arrival_ms + self.cfg.deadline_ms {
@@ -1394,54 +1515,27 @@ impl Runtime {
             self.flush_batch(&mut pending, at, &mut ledger)?;
         }
 
-        // Aggregate.
-        let completions = &ledger.completions;
-        let (latency_p50_ms, latency_p99_ms, latency_mean_ms) = latency_stats(completions);
-        let makespan_ms = completions.iter().fold(0.0f64, |m, c| m.max(c.end_ms));
         let cache_after = self.cache.stats();
-        let report = RuntimeReport {
-            submitted: requests.len(),
-            served: completions.len(),
-            rejected: ledger.count(DropReason::Rejected),
-            deadline_missed: ledger.count(DropReason::DeadlineMissed),
-            failed: ledger.count(DropReason::Failed),
-            retries: ledger.retries,
-            failovers: ledger.failovers,
-            plan_fallbacks: ledger.plan_fallbacks,
-            device_evictions: ledger.device_evictions,
-            batches: ledger.batches,
-            batched_requests: ledger.batched_requests,
-            cache: CacheStats {
-                hits: cache_after.hits - cache_before.hits,
-                misses: cache_after.misses - cache_before.misses,
-                evictions: cache_after.evictions - cache_before.evictions,
-            },
-            tune_explores: self.tuner.stats().explores - tune_before.explores,
-            tune_promotes: self.tuner.stats().promotes - tune_before.promotes,
-            latency_p50_ms,
-            latency_p99_ms,
-            latency_mean_ms,
-            makespan_ms,
-            shard: ShardCounters::default(),
-            devices: self
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(i, d)| DeviceReport {
-                    device: i,
-                    jobs: d.jobs_done(),
-                    sm_occupancy: d.sm_occupancy(),
-                    makespan_ms: d.makespan_ms(),
-                    faults: d.fault_counters(),
-                })
-                .collect(),
+        ledger.cache = CacheStats {
+            hits: cache_after.hits - cache_before.hits,
+            misses: cache_after.misses - cache_before.misses,
+            evictions: cache_after.evictions - cache_before.evictions,
         };
-        debug_assert!(report.reconciles(), "request accounting must balance");
-        Ok(ServeResult {
-            completions: ledger.completions,
-            dropped: ledger.dropped,
-            report,
-        })
+        ledger.tune_explores = self.tuner.stats().explores - tune_before.explores;
+        ledger.tune_promotes = self.tuner.stats().promotes - tune_before.promotes;
+        ledger.devices = self
+            .devices
+            .iter()
+            .enumerate()
+            .map(|(i, d)| DeviceReport {
+                device: i,
+                jobs: d.jobs_done(),
+                sm_occupancy: d.sm_occupancy(),
+                makespan_ms: d.makespan_ms(),
+                faults: d.fault_counters(),
+            })
+            .collect();
+        Ok(ledger.finish(requests.len()))
     }
 
     /// Launch the pending tiny requests as one job at `at`. Members whose
@@ -1630,16 +1724,16 @@ impl Runtime {
                 }
             }
         };
-        if self.sink.is_some() {
-            let batched = members.len() > 1;
-            for (r, _) in members {
+        let completions = self.complete(members, &served, dev_idx, &job, attempt + 1);
+        for ((r, _), c) in members.iter().zip(completions) {
+            if self.sink.is_some() {
                 self.emit(TraceEvent::Dispatch {
                     id: r.id,
                     device: dev_idx as u32,
                     stream: stream.index(),
                     start_ms: job.start_ms,
                     end_ms: job.end_ms,
-                    batched,
+                    batched: c.batched,
                 });
                 self.emit(TraceEvent::RequestSpan {
                     id: r.id,
@@ -1652,19 +1746,10 @@ impl Runtime {
                     phase: RequestPhase::Complete,
                     ts_ms: job.end_ms,
                 });
-                self.emit(TraceEvent::TenantSample {
-                    tenant: r.tenant,
-                    ts_ms: job.end_ms,
-                    latency_ms: job.end_ms - r.arrival_ms,
-                    outcome: TenantOutcome::Served,
-                });
             }
+            ledger.served(r.tenant, c);
         }
-
-        ledger.in_flight.push(job.end_ms);
-        ledger
-            .completions
-            .extend(self.complete(members, &served, dev_idx, &job, attempt + 1));
+        ledger.occupy(job.end_ms);
         Ok(())
     }
 
@@ -2154,6 +2239,7 @@ mod tests {
                 routed: 14,
                 halo_bytes: 4096,
                 merges: 6,
+                comm_ms: 1.25,
                 shard_rejects: 2,
             },
             devices: vec![DeviceReport {
@@ -2181,7 +2267,7 @@ mod tests {
             "mean 0.75",
             "2 fused launches covering 5 requests",
             "3 exploration serves, 1 promotions",
-            "14 routed, 6 merges, 4096 halo bytes, 2 global rejects",
+            "14 routed, 6 merges, 4096 halo bytes, 1.2500 ms comm, 2 global rejects",
             "4 retries, 2 failovers, 2 deadline-missed, 1 failed",
             "1 plan fallbacks, 1 device evictions",
             "device 0: 10 jobs",

@@ -15,12 +15,15 @@
 //!   cache, batcher, and autotuner. No communication charge — tenants
 //!   are independent — at the cost of per-shard load imbalance.
 //!
+//! Both modes record every request outcome in a [`Ledger`], the record
+//! the runtime serves through, so admission, drops, tenant samples and
+//! the report are the runtime's own.
+//!
 //! The split path is a *global* data-parallel execution (strong
 //! scaling, communication-bound); the routed path is *tenant*
 //! parallelism (throughput scaling, balance-bound). `shard_bench`
-//! sweeps both against shard count.
+//! sweeps split mode against shard count.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use kernels::graph::Graph;
@@ -29,13 +32,12 @@ use loops::schedule::ScheduleKind;
 use runtime::cache::Lru;
 use runtime::split::{pinned_schedule, split_spmv};
 use runtime::{
-    latency_stats, Completion, DeviceReport, DropReason, DroppedRequest, QueuePolicy, Request,
-    Runtime, RuntimeConfig, RuntimeReport, ServeResult, ShardCounters,
+    Completion, DeviceReport, DropReason, Ledger, Request, Runtime, RuntimeConfig, ServeResult,
 };
 use simt::exchange::halo_exchange;
 use simt::{GpuSpec, MultiGpuSpec};
 use sparse::{Csr, ShardPlan, ShardStrategy};
-use trace::{ShardPhase, TenantOutcome, TraceEvent, TraceSink};
+use trace::{ShardPhase, TraceEvent, TraceSink};
 
 use crate::ring::HashRing;
 
@@ -53,12 +55,9 @@ pub struct ShardGroupConfig {
     /// How split-mode matrices are partitioned across shards.
     pub strategy: ShardStrategy,
     /// Per-shard runtime configuration (device pool, caches, batching).
+    /// Its `queue_depth` and `policy` are also the split path's global
+    /// admission window.
     pub runtime: RuntimeConfig,
-    /// Global admission window of the split path: split requests in
-    /// flight (admitted, not yet completed) before backpressure.
-    pub queue_depth: usize,
-    /// What the global admission layer does when the window is full.
-    pub policy: QueuePolicy,
     /// Inter-shard link bandwidth per direction, GB/s.
     pub link_bw_gbs: f64,
     /// Per-transfer link latency, microseconds.
@@ -72,27 +71,49 @@ impl ShardGroupConfig {
             shards,
             strategy: ShardStrategy::RowNnz2D,
             runtime: RuntimeConfig::default(),
-            queue_depth: 64,
-            policy: QueuePolicy::Block,
             link_bw_gbs: 150.0,
             link_latency_us: 2.0,
         }
     }
 }
 
-/// A split-mode partition of one matrix, cached by its
-/// [`Csr::value_epoch`] so repeat tenants pay the partitioning cost
-/// once (the group-level analogue of the runtime's plan cache).
+/// One matrix cut for split execution, with its communication priced
+/// once: the charge is a pure function of the cut and the link.
+/// [`ShardGroup::serve_split`] caches one per [`Csr::value_epoch`], so
+/// repeat tenants pay the partitioning cost once (the group-level
+/// analogue of the runtime's plan cache); [`ShardGroup::pagerank`]
+/// builds one per solve.
 #[derive(Debug)]
 struct SplitEntry {
     subs: Vec<Arc<Csr<f32>>>,
     kind: ScheduleKind,
-    halo_bytes: Vec<u64>,
     total_halo: u64,
-    merge_bytes: u64,
     /// Shard whose halo bounds the exchange (owns the critical
     /// transfer).
     bounding_shard: u32,
+    /// Halo-exchange + merge charge of one split execution (ms).
+    comm_ms: f64,
+}
+
+impl SplitEntry {
+    fn new(a: &Csr<f32>, shards: usize, strategy: ShardStrategy, link: &MultiGpuSpec) -> Self {
+        let plan = ShardPlan::partition(a, shards, strategy);
+        let halo_bytes: Vec<u64> = plan.shards.iter().map(|s| s.halo_bytes()).collect();
+        let bounding_shard = halo_bytes
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &b)| b)
+            .map_or(0, |(i, _)| i as u32);
+        Self {
+            subs: (0..plan.num_shards())
+                .map(|s| Arc::new(plan.submatrix(a, s)))
+                .collect(),
+            kind: pinned_schedule(a),
+            total_halo: plan.total_halo_bytes(),
+            bounding_shard,
+            comm_ms: halo_exchange(link, &halo_bytes, plan.max_output_bytes()).total_ms(),
+        }
+    }
 }
 
 /// Result of a sharded PageRank run (see [`ShardGroup::pagerank`]).
@@ -166,7 +187,8 @@ impl ShardGroup {
     }
 
     /// Attach a trace sink; shard milestones
-    /// ([`TraceEvent::Shard`]) are emitted through it.
+    /// ([`TraceEvent::Shard`]) and request outcomes are emitted through
+    /// it.
     pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
         self.sink = Some(sink);
     }
@@ -182,15 +204,9 @@ impl ShardGroup {
         }
     }
 
-    fn emit_tenant(&self, tenant: u32, ts_ms: f64, latency_ms: f64, outcome: TenantOutcome) {
-        if let Some(s) = &self.sink {
-            s.event(&TraceEvent::TenantSample {
-                tenant,
-                ts_ms,
-                latency_ms,
-                outcome,
-            });
-        }
+    /// The home shard of `r`: its tenant's shard on the ring.
+    fn home(&self, r: &Request) -> u32 {
+        self.ring.route(u64::from(r.tenant))
     }
 
     /// Partition (or recall) the split-mode plan for `a`. A matrix
@@ -201,24 +217,12 @@ impl ShardGroup {
         if let Some(entry) = self.splits.get(&key) {
             return Arc::clone(entry);
         }
-        let plan = ShardPlan::partition(a, self.shards.len(), self.cfg.strategy);
-        let subs = (0..plan.num_shards())
-            .map(|s| Arc::new(plan.submatrix(a, s)))
-            .collect();
-        let halo_bytes: Vec<u64> = plan.shards.iter().map(|s| s.halo_bytes()).collect();
-        let bounding_shard = halo_bytes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &b)| b)
-            .map_or(0, |(i, _)| i as u32);
-        let entry = Arc::new(SplitEntry {
-            subs,
-            kind: pinned_schedule(a),
-            total_halo: plan.total_halo_bytes(),
-            merge_bytes: plan.max_output_bytes(),
-            halo_bytes,
-            bounding_shard,
-        });
+        let entry = Arc::new(SplitEntry::new(
+            a,
+            self.shards.len(),
+            self.cfg.strategy,
+            &self.link,
+        ));
         self.splits.insert(key, Arc::clone(&entry));
         entry
     }
@@ -229,77 +233,47 @@ impl ShardGroup {
     /// charge, concatenate. The merged outputs are bitwise identical to
     /// serving on one shard (the root `shard_oracle` tests assert it).
     ///
-    /// Global admission applies the group's `queue_depth`/`policy`
-    /// *before* routing; per-request deadlines
-    /// ([`RuntimeConfig::deadline_ms`]) are honored against the
-    /// admitted start time.
+    /// Requests are taken in arrival order. Global admission applies
+    /// the runtime window ([`RuntimeConfig::queue_depth`] and
+    /// [`RuntimeConfig::policy`]) *before* routing; per-request
+    /// deadlines ([`RuntimeConfig::deadline_ms`]) are honored against
+    /// the start time.
     pub fn serve_split(&mut self, requests: &[Request]) -> simt::Result<ServeResult> {
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by(|&i, &j| {
-            requests[i]
-                .arrival_ms
-                .partial_cmp(&requests[j].arrival_ms)
+        let mut order: Vec<&Request> = requests.iter().collect();
+        order.sort_by(|a, b| {
+            a.arrival_ms
+                .partial_cmp(&b.arrival_ms)
                 .expect("finite arrivals")
         });
 
         let cache_before: Vec<_> = self.shards.iter().map(Runtime::cache_stats).collect();
-        let mut completions: Vec<Completion> = Vec::new();
-        let mut dropped: Vec<DroppedRequest> = Vec::new();
-        let mut counters = ShardCounters::default();
-        let mut deadline_missed = 0usize;
+        let mut ledger = Ledger::new(self.sink.clone());
         // The split path is bulk-synchronous: one request occupies the
-        // whole group at a time, so admitted-but-unfinished requests
-        // form a FIFO whose completion times are non-decreasing.
-        let mut ends: Vec<f64> = Vec::new();
+        // whole group at a time, so completion times never decrease.
         let mut busy_until = 0.0f64;
 
-        for &i in &order {
-            let r = &requests[i];
-            let in_flight = ends.len() - ends.partition_point(|&e| e <= r.arrival_ms);
-            if in_flight >= self.cfg.queue_depth && self.cfg.policy == QueuePolicy::Reject {
-                counters.shard_rejects += 1;
-                self.emit(
-                    self.ring.route(r.id),
-                    ShardPhase::Reject,
-                    r.arrival_ms,
-                    r.id as f64,
-                );
-                self.emit_tenant(r.tenant, r.arrival_ms, 0.0, TenantOutcome::Rejected);
-                dropped.push(DroppedRequest {
-                    id: r.id,
-                    ts_ms: r.arrival_ms,
-                    reason: DropReason::Rejected,
-                });
+        for r in order {
+            let home = self.home(r);
+            let Some(admitted) = ledger.admit(r, &self.cfg.runtime) else {
+                ledger.shard.shard_rejects += 1;
+                self.emit(home, ShardPhase::Reject, r.arrival_ms, r.id as f64);
                 continue;
-            }
-            let home = self.ring.route(r.id);
-            counters.routed += 1;
+            };
+            ledger.shard.routed += 1;
             self.emit(home, ShardPhase::Route, r.arrival_ms, r.id as f64);
 
-            let start = r.arrival_ms.max(busy_until);
+            let start = admitted.max(busy_until);
             if start - r.arrival_ms > self.cfg.runtime.deadline_ms {
-                deadline_missed += 1;
-                self.emit_tenant(
-                    r.tenant,
-                    start,
-                    start - r.arrival_ms,
-                    TenantOutcome::DeadlineMiss,
-                );
-                dropped.push(DroppedRequest {
-                    id: r.id,
-                    ts_ms: start,
-                    reason: DropReason::DeadlineMissed,
-                });
+                ledger.drop([r], DropReason::DeadlineMissed, start);
                 continue;
             }
 
             let split = self.split_entry(&r.matrix);
             let run = split_spmv(&mut self.shards, &split.subs, &r.x, split.kind)?;
-            let cost = halo_exchange(&self.link, &split.halo_bytes, split.merge_bytes);
-            let end = start + run.critical_shard_ms() + cost.total_ms();
+            let end = start + run.critical_shard_ms() + split.comm_ms;
 
             if self.shards.len() > 1 {
-                counters.halo_bytes += split.total_halo;
+                ledger.shard.halo_bytes += split.total_halo;
                 self.emit(
                     split.bounding_shard,
                     ShardPhase::HaloExchange,
@@ -307,124 +281,80 @@ impl ShardGroup {
                     split.total_halo as f64,
                 );
             }
-            counters.merges += 1;
+            ledger.shard.merges += 1;
+            ledger.shard.comm_ms += split.comm_ms;
             self.emit(home, ShardPhase::Merge, end, 4.0 * run.y.len() as f64);
 
-            self.emit_tenant(r.tenant, end, end - r.arrival_ms, TenantOutcome::Served);
             let active = split.subs.iter().filter(|s| s.rows() > 0).count();
-            completions.push(Completion {
-                id: r.id,
-                arrival_ms: r.arrival_ms,
-                start_ms: start,
-                end_ms: end,
-                device: home as usize,
-                batched: false,
-                cache_hit: Some(run.cache_hits == active),
-                schedule: split.kind,
-                format: sparse::FormatKind::Csr,
-                attempts: 1,
-                y: self.cfg.runtime.keep_results.then_some(run.y),
-            });
-            ends.push(end);
+            ledger.served(
+                r.tenant,
+                Completion {
+                    id: r.id,
+                    arrival_ms: r.arrival_ms,
+                    start_ms: start,
+                    end_ms: end,
+                    device: home as usize,
+                    batched: false,
+                    cache_hit: Some(run.cache_hits == active),
+                    schedule: split.kind,
+                    format: sparse::FormatKind::Csr,
+                    attempts: 1,
+                    y: self.cfg.runtime.keep_results.then_some(run.y),
+                },
+            );
+            ledger.occupy(end);
             busy_until = end;
         }
 
-        let mut report = self.assemble_report(requests.len(), &completions, &cache_before);
-        report.rejected = counters.shard_rejects;
-        report.deadline_missed = deadline_missed;
-        report.shard = counters;
-        debug_assert!(report.reconciles(), "split accounting must balance");
-        Ok(ServeResult {
-            completions,
-            dropped,
-            report,
-        })
+        for (rt, before) in self.shards.iter().zip(&cache_before) {
+            let after = rt.cache_stats();
+            ledger.cache.hits += after.hits - before.hits;
+            ledger.cache.misses += after.misses - before.misses;
+            ledger.cache.evictions += after.evictions - before.evictions;
+        }
+        // Every shard takes part in every served request.
+        ledger.devices = (0..self.shards.len())
+            .map(|device| DeviceReport {
+                device,
+                jobs: ledger.shard.merges,
+                sm_occupancy: 0.0,
+                makespan_ms: busy_until,
+                faults: Default::default(),
+            })
+            .collect();
+        Ok(ledger.finish(requests.len()))
     }
 
     /// Serve a request stream in **routed mode**: the ring assigns each
-    /// request's tenant (its id) a home shard, and each shard's runtime
-    /// serves its slice independently — shard-local plan caches,
-    /// batchers, and autotuners all engage. Completions carry
-    /// group-global device indices (`shard · devices_per_shard +
-    /// local`).
+    /// request's tenant a home shard, and each shard's runtime serves
+    /// its slice independently — shard-local plan caches, batchers, and
+    /// autotuners all engage. Completions carry group-global device
+    /// indices (`shard · devices_per_shard + local`).
     pub fn serve_routed(&mut self, requests: &[Request]) -> simt::Result<ServeResult> {
         let mut per_shard: Vec<Vec<Request>> = vec![Vec::new(); self.shards.len()];
         for r in requests {
-            let home = self.ring.route(r.id);
+            let home = self.home(r);
             self.emit(home, ShardPhase::Route, r.arrival_ms, r.id as f64);
             per_shard[home as usize].push(r.clone());
         }
 
-        let devices_per_shard = self.cfg.runtime.devices;
-        let mut completions: Vec<Completion> = Vec::new();
-        let mut dropped: Vec<DroppedRequest> = Vec::new();
-        let mut merged: Option<RuntimeReport> = None;
+        let mut ledger = Ledger::new(self.sink.clone());
         for (s, stream) in per_shard.iter().enumerate() {
             if stream.is_empty() {
                 continue;
             }
             let mut out = self.shards[s].serve(stream)?;
+            let offset = s * self.cfg.runtime.devices;
             for c in &mut out.completions {
-                c.device += s * devices_per_shard;
+                c.device += offset;
             }
-            completions.extend(out.completions);
-            dropped.extend(out.dropped);
-            let mut rep = out.report;
-            for d in &mut rep.devices {
-                d.device += s * devices_per_shard;
+            for d in &mut out.report.devices {
+                d.device += offset;
             }
-            merged = Some(match merged {
-                None => rep,
-                Some(acc) => merge_reports(acc, rep),
-            });
+            ledger.absorb(stream, out);
         }
-
-        // Shard-local runtimes have no sink wired, so per-tenant
-        // outcome samples are emitted here at the group boundary from
-        // the merged completion/drop record.
-        if self.sink.is_some() {
-            let tenants: HashMap<u64, (u32, f64)> = requests
-                .iter()
-                .map(|r| (r.id, (r.tenant, r.arrival_ms)))
-                .collect();
-            for c in &completions {
-                if let Some(&(tenant, _)) = tenants.get(&c.id) {
-                    self.emit_tenant(
-                        tenant,
-                        c.end_ms,
-                        c.end_ms - c.arrival_ms,
-                        TenantOutcome::Served,
-                    );
-                }
-            }
-            for d in &dropped {
-                if let Some(&(tenant, arrival_ms)) = tenants.get(&d.id) {
-                    let latency_ms = (d.ts_ms - arrival_ms).max(0.0);
-                    self.emit_tenant(tenant, d.ts_ms, latency_ms, d.reason.outcome());
-                }
-            }
-        }
-
-        let mut report = merged.unwrap_or_else(|| {
-            self.assemble_report(0, &[], &vec![Default::default(); self.shards.len()])
-        });
-        report.submitted = requests.len();
-        // Re-derive stream-wide latency stats: per-shard percentiles do
-        // not compose, the merged sample does.
-        let (p50, p99, mean) = latency_stats(&completions);
-        report.latency_p50_ms = p50;
-        report.latency_p99_ms = p99;
-        report.latency_mean_ms = mean;
-        report.shard = ShardCounters {
-            routed: requests.len(),
-            ..ShardCounters::default()
-        };
-        debug_assert!(report.reconciles(), "routed accounting must balance");
-        Ok(ServeResult {
-            completions,
-            dropped,
-            report,
-        })
+        ledger.shard.routed = requests.len();
+        Ok(ledger.finish(requests.len()))
     }
 
     /// Sharded PageRank: the normalized transpose is partitioned once,
@@ -442,110 +372,32 @@ impl ShardGroup {
         let n = g.num_vertices();
         assert!(n > 0, "graph must have vertices");
         let mt = normalized_transpose(g);
-        let kind = pinned_schedule(&mt);
-        let plan = ShardPlan::partition(&mt, self.shards.len(), self.cfg.strategy);
-        let subs: Vec<Arc<Csr<f32>>> = (0..plan.num_shards())
-            .map(|s| Arc::new(plan.submatrix(&mt, s)))
-            .collect();
-        let halo: Vec<u64> = plan.shards.iter().map(|s| s.halo_bytes()).collect();
+        let split = SplitEntry::new(&mt, self.shards.len(), self.cfg.strategy, &self.link);
 
         let mut compute_ms = 0.0f64;
         let mut comm_ms = 0.0f64;
         let init = vec![1.0f32 / n as f32; n];
         let (rank, iterations) = power_iteration(g, tol, max_iters, &init, |rank| {
-            let run = split_spmv(&mut self.shards, &subs, rank, kind)?;
+            let run = split_spmv(&mut self.shards, &split.subs, rank, split.kind)?;
             compute_ms += run.critical_shard_ms();
-            comm_ms += halo_exchange(&self.link, &halo, plan.max_output_bytes()).total_ms();
+            comm_ms += split.comm_ms;
             Ok(run.y)
         })?;
         Ok(ShardPageRank {
             rank,
             iterations,
-            schedule: kind,
+            schedule: split.kind,
             compute_ms,
             comm_ms,
         })
     }
-
-    /// Assemble a report skeleton for the split path from completions
-    /// plus per-shard cache deltas; the caller fills in the drop and
-    /// shard counters.
-    fn assemble_report(
-        &self,
-        submitted: usize,
-        completions: &[Completion],
-        cache_before: &[runtime::CacheStats],
-    ) -> RuntimeReport {
-        let (p50, p99, mean) = latency_stats(completions);
-        let mut cache = runtime::CacheStats::default();
-        let mut devices = Vec::with_capacity(self.shards.len());
-        for (s, rt) in self.shards.iter().enumerate() {
-            let after = rt.cache_stats();
-            let before = cache_before.get(s).copied().unwrap_or_default();
-            cache.hits += after.hits - before.hits;
-            cache.misses += after.misses - before.misses;
-            cache.evictions += after.evictions - before.evictions;
-            devices.push(DeviceReport {
-                device: s,
-                jobs: completions.len(),
-                sm_occupancy: 0.0,
-                makespan_ms: completions.iter().fold(0.0f64, |m, c| m.max(c.end_ms)),
-                faults: Default::default(),
-            });
-        }
-        RuntimeReport {
-            submitted,
-            served: completions.len(),
-            rejected: 0,
-            deadline_missed: 0,
-            failed: 0,
-            retries: 0,
-            failovers: 0,
-            plan_fallbacks: 0,
-            device_evictions: 0,
-            batches: 0,
-            batched_requests: 0,
-            cache,
-            tune_explores: 0,
-            tune_promotes: 0,
-            latency_p50_ms: p50,
-            latency_p99_ms: p99,
-            latency_mean_ms: mean,
-            makespan_ms: completions.iter().fold(0.0f64, |m, c| m.max(c.end_ms)),
-            shard: ShardCounters::default(),
-            devices,
-        }
-    }
-}
-
-/// Fold two per-shard reports into one: counters add, latency stats are
-/// re-derived by the caller, makespan is the slowest shard's.
-fn merge_reports(mut acc: RuntimeReport, rep: RuntimeReport) -> RuntimeReport {
-    acc.submitted += rep.submitted;
-    acc.served += rep.served;
-    acc.rejected += rep.rejected;
-    acc.deadline_missed += rep.deadline_missed;
-    acc.failed += rep.failed;
-    acc.retries += rep.retries;
-    acc.failovers += rep.failovers;
-    acc.plan_fallbacks += rep.plan_fallbacks;
-    acc.device_evictions += rep.device_evictions;
-    acc.batches += rep.batches;
-    acc.batched_requests += rep.batched_requests;
-    acc.cache.hits += rep.cache.hits;
-    acc.cache.misses += rep.cache.misses;
-    acc.cache.evictions += rep.cache.evictions;
-    acc.tune_explores += rep.tune_explores;
-    acc.tune_promotes += rep.tune_promotes;
-    acc.makespan_ms = acc.makespan_ms.max(rep.makespan_ms);
-    acc.devices.extend(rep.devices);
-    acc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use runtime::{zipf_workload, WorkloadSpec};
+    use runtime::{zipf_workload, QueuePolicy, RuntimeReport, ShardCounters, WorkloadSpec};
+    use trace::{RequestPhase, TenantOutcome};
 
     fn corpus() -> Vec<Arc<Csr<f32>>> {
         vec![
@@ -565,6 +417,17 @@ mod tests {
                 seed: 99,
             },
         )
+    }
+
+    /// `n` workload requests that all arrive at t = 0.
+    fn simultaneous(n: usize) -> Vec<Request> {
+        workload(n)
+            .into_iter()
+            .map(|mut r| {
+                r.arrival_ms = 0.0;
+                r
+            })
+            .collect()
     }
 
     fn group(n: usize) -> ShardGroup {
@@ -678,17 +541,11 @@ mod tests {
     #[test]
     fn split_admission_rejects_when_the_window_fills() {
         let mut cfg = ShardGroupConfig::new(2);
-        cfg.queue_depth = 1;
-        cfg.policy = QueuePolicy::Reject;
+        cfg.runtime.queue_depth = 1;
+        cfg.runtime.policy = QueuePolicy::Reject;
         let mut g = ShardGroup::new(GpuSpec::test_tiny(), cfg);
         // Everything arrives at once: one admitted, the rest shed.
-        let reqs: Vec<Request> = workload(20)
-            .into_iter()
-            .map(|mut r| {
-                r.arrival_ms = 0.0;
-                r
-            })
-            .collect();
+        let reqs = simultaneous(20);
         let out = g.serve_split(&reqs).unwrap();
         assert!(out.report.shard.shard_rejects > 0);
         assert_eq!(out.report.rejected, out.report.shard.shard_rejects);
@@ -698,6 +555,134 @@ mod tests {
             reqs.len(),
             "every submission accounted"
         );
+    }
+
+    #[test]
+    fn split_drops_trace_like_the_runtime() {
+        // A window of one under Reject, then a deadline no queued
+        // request can meet: each drop must trace its request phase, then
+        // a tenant sample with the matching outcome, as the runtime's
+        // drops do.
+        let mut reject = ShardGroupConfig::new(2);
+        reject.runtime.queue_depth = 1;
+        reject.runtime.policy = QueuePolicy::Reject;
+        let mut late = ShardGroupConfig::new(2);
+        late.runtime.deadline_ms = 0.0;
+        for cfg in [reject, late] {
+            let rec = Arc::new(trace::Recorder::with_capacity(4_096));
+            let mut g = ShardGroup::new(GpuSpec::test_tiny(), cfg);
+            g.set_trace_sink(rec.clone());
+            let out = g.serve_split(&simultaneous(20)).unwrap();
+            assert!(out.report.reconciles());
+            assert!(!out.dropped.is_empty(), "the config must drop requests");
+            let events = rec.snapshot().events;
+            for d in &out.dropped {
+                let (want_phase, want_outcome) = match d.reason {
+                    DropReason::Rejected => (RequestPhase::Reject, TenantOutcome::Rejected),
+                    DropReason::DeadlineMissed => {
+                        (RequestPhase::DeadlineMiss, TenantOutcome::DeadlineMiss)
+                    }
+                    DropReason::Failed => unreachable!("split serving never retries"),
+                };
+                let phases: Vec<usize> = events
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| {
+                        matches!(e, TraceEvent::Request { id, phase, ts_ms }
+                            if *id == d.id && *phase == want_phase && *ts_ms == d.ts_ms)
+                    })
+                    .map(|(i, _)| i)
+                    .collect();
+                assert_eq!(phases.len(), 1, "request {}: one {want_phase:?}", d.id);
+                let sample = events[phases[0]..].iter().find_map(|e| match *e {
+                    TraceEvent::TenantSample { outcome, ts_ms, .. } => Some((outcome, ts_ms)),
+                    _ => None,
+                });
+                assert_eq!(sample, Some((want_outcome, d.ts_ms)), "request {}", d.id);
+            }
+        }
+    }
+
+    #[test]
+    fn routed_report_is_the_fold_of_per_shard_runtimes() {
+        // The oracle: split the stream with the group's ring, serve each
+        // slice on a fresh runtime of the same config, and fold.
+        let reqs = workload(120);
+        let cfg = ShardGroupConfig::new(4);
+        let mut g = ShardGroup::new(GpuSpec::test_tiny(), cfg.clone());
+        let out = g.serve_routed(&reqs).unwrap();
+        let cfg = cfg.runtime;
+        let mut slices: Vec<Vec<Request>> = vec![Vec::new(); 4];
+        for r in &reqs {
+            slices[g.ring().route(u64::from(r.tenant)) as usize].push(r.clone());
+        }
+        let mut want = RuntimeReport {
+            submitted: 0,
+            served: 0,
+            rejected: 0,
+            deadline_missed: 0,
+            failed: 0,
+            retries: 0,
+            failovers: 0,
+            plan_fallbacks: 0,
+            device_evictions: 0,
+            batches: 0,
+            batched_requests: 0,
+            cache: Default::default(),
+            tune_explores: 0,
+            tune_promotes: 0,
+            latency_p50_ms: 0.0,
+            latency_p99_ms: 0.0,
+            latency_mean_ms: 0.0,
+            makespan_ms: 0.0,
+            shard: ShardCounters {
+                routed: reqs.len(),
+                ..ShardCounters::default()
+            },
+            devices: Vec::new(),
+        };
+        let mut latencies = Vec::new();
+        for (s, slice) in slices.iter().enumerate() {
+            if slice.is_empty() {
+                continue;
+            }
+            let slice_out = Runtime::new(GpuSpec::test_tiny(), cfg)
+                .serve(slice)
+                .unwrap();
+            latencies.extend(slice_out.completions.iter().map(Completion::latency_ms));
+            let rep = slice_out.report;
+            want.submitted += rep.submitted;
+            want.served += rep.served;
+            want.rejected += rep.rejected;
+            want.deadline_missed += rep.deadline_missed;
+            want.failed += rep.failed;
+            want.retries += rep.retries;
+            want.failovers += rep.failovers;
+            want.plan_fallbacks += rep.plan_fallbacks;
+            want.device_evictions += rep.device_evictions;
+            want.batches += rep.batches;
+            want.batched_requests += rep.batched_requests;
+            want.cache.hits += rep.cache.hits;
+            want.cache.misses += rep.cache.misses;
+            want.cache.evictions += rep.cache.evictions;
+            want.tune_explores += rep.tune_explores;
+            want.tune_promotes += rep.tune_promotes;
+            want.makespan_ms = want.makespan_ms.max(rep.makespan_ms);
+            want.devices.extend(rep.devices.into_iter().map(|mut d| {
+                d.device += s * cfg.devices;
+                d
+            }));
+        }
+        // Percentiles do not compose: the group's are the merged
+        // sample's, by nearest rank.
+        latencies.sort_by(f64::total_cmp);
+        let rank = |p: f64| latencies[((p * latencies.len() as f64).ceil() as usize).max(1) - 1];
+        want.latency_p50_ms = rank(0.50);
+        want.latency_p99_ms = rank(0.99);
+        want.latency_mean_ms = latencies.iter().sum::<f64>() / latencies.len() as f64;
+        assert_eq!(latencies.len(), out.completions.len());
+        assert_eq!(out.report, want);
+        assert!(out.report.reconciles());
     }
 
     #[test]

@@ -102,8 +102,12 @@ impl HashRing {
 
     /// Route a tenant to its home shard: the owner of the first ring
     /// point at or after the tenant's hash, wrapping past the top.
+    ///
+    /// A tenant is hashed one mix deeper than a point. Hashed alike,
+    /// tenant `v` would sit exactly on shard 0's virtual node `v`, and
+    /// every tenant below `vnodes` would route to shard 0.
     pub fn route(&self, tenant: u64) -> u32 {
-        let h = mix64(self.seed ^ mix64(tenant));
+        let h = mix64(mix64(self.seed ^ mix64(tenant)));
         let idx = self.points.partition_point(|&(p, _)| p < h);
         self.points[if idx == self.points.len() { 0 } else { idx }].1
     }
@@ -142,6 +146,21 @@ mod tests {
             // perfect uniformity.
             assert!(h < 4 * 20_000 / 16, "shard {s} overloaded: {h}");
         }
+    }
+
+    #[test]
+    fn small_tenant_ids_reach_every_shard() {
+        // Tenant ids are small integers; they must not share hashes with
+        // the ring's own points.
+        let ring = HashRing::new(4, 64, 0x5eed);
+        let mut hits = [0usize; 4];
+        for t in 0..64u64 {
+            hits[ring.route(t) as usize] += 1;
+        }
+        assert!(
+            hits.iter().all(|&h| h > 0),
+            "tenants 0..64 per shard: {hits:?}"
+        );
     }
 
     #[test]
