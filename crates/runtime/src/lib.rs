@@ -16,9 +16,8 @@
 //!   prepartitioned kernel. Results stay bitwise identical to the cold
 //!   path. One planned path, written once over a per-kernel trait,
 //!   does the lookup, the poisoned-plan fallback and the [`autotune`]
-//!   sweep for SpMV requests inside [`Runtime::serve`], for
-//!   [`Runtime::run_spmm`] and [`Runtime::run_bfs`], and (pinned, no
-//!   tuner) for [`Runtime::run_spmv_pinned`]. The plan cache, the
+//!   sweep for SpMV requests inside [`Runtime::serve`], and for
+//!   [`Runtime::run_spmm`] and [`Runtime::run_bfs`]. The plan cache, the
 //!   fingerprint memo and the prepared-operand cache are each a
 //!   [`cache::Lru`], the one eviction rule; the autotuner's key table is
 //!   the exception, refusing new keys when full, because evicting sweep
@@ -71,7 +70,7 @@ use cache::Lru;
 pub use autotune::{TuneConfig, TuneStats};
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use fingerprint::Fingerprint;
-pub use split::{decomposable, pinned_schedule, split_spmv, SplitRun};
+pub use split::{decomposable, pinned_schedule};
 pub use stream::{mutate, serve_evolving, MutationOutcome, StreamSpec, WindowStats};
 pub use workload::{zipf_workload, WorkloadSpec};
 
@@ -181,7 +180,8 @@ pub struct Completion {
     /// True if the request was served inside a fused batch launch.
     pub batched: bool,
     /// Plan-cache outcome (`None` for batched launches, which bypass the
-    /// cache — fused shapes are one-off).
+    /// cache — fused shapes are one-off; the split-cache outcome for a
+    /// shard group's split serve).
     pub cache_hit: Option<bool>,
     /// Schedule the job ran under.
     pub schedule: ScheduleKind,
@@ -337,7 +337,8 @@ pub struct RuntimeReport {
     pub batches: usize,
     /// Requests served inside those fused launches.
     pub batched_requests: usize,
-    /// Plan-cache counters for this call.
+    /// Plan-cache counters for this call (a shard group's split serve
+    /// counts its split cache instead: one lookup per request).
     pub cache: CacheStats,
     /// Autotuner exploration serves issued during this call (0 when
     /// tuning is disabled).
@@ -1258,27 +1259,21 @@ impl Runtime {
     /// recorded cost is exactly the steady-state cost the cache serves
     /// after promotion — or exploits the best-known cell. A candidate
     /// whose plan fails to prepare is served cold and stays unmeasured
-    /// (a later miss retries it). `pin` fixes the schedule: hits must
-    /// match it and the tuner stays out. `now` stamps tune events.
-    /// `None` means an untuned miss, which the caller finishes.
+    /// (a later miss retries it). `now` stamps tune events. `None`
+    /// means an untuned miss, which the caller finishes.
     fn cached_or_tuned<K: ServedKernel>(
         &mut self,
         k: &K,
         fp: Fingerprint,
-        pin: Option<ScheduleKind>,
         now: f64,
     ) -> simt::Result<Option<Served<K::Output>>> {
         let logical = Self::logical_key(K::KIND, fp);
         // A promoted non-CSR winner's plan lives under its own format's
         // cache key; with tuning off the winner is always absent, so the
         // lookup is the logical (CSR) one.
-        let format = match pin {
-            Some(_) => FormatKind::Csr,
-            None => self.tuner.winner(&logical).map_or(FormatKind::Csr, |(_, f)| f),
-        };
+        let format = self.tuner.winner(&logical).map_or(FormatKind::Csr, |(_, f)| f);
         let key = PlanKey { format, ..logical };
-        let hit = self.cache.get_if(&key, |p| pin.is_none_or(|s| p.schedule == s)).cloned();
-        if let Some(plan) = hit {
+        if let Some(plan) = self.cache.get(&key).cloned() {
             let served = self
                 .prepared_operand(fp, k.matrix(), format)
                 .and_then(|op| k.run_planned(self, &plan, &op));
@@ -1289,12 +1284,9 @@ impl Runtime {
                 }
                 Err(_) => {
                     self.cache.remove(&key);
-                    self.fall_back(k, pin).map(Some)
+                    self.fall_back(k).map(Some)
                 }
             };
-        }
-        if pin.is_some() {
-            return Ok(None);
         }
         let Some(action) = self
             .tuner
@@ -1309,7 +1301,7 @@ impl Runtime {
                     Ok((Arc::new(plan), op))
                 });
                 let Ok((plan, op)) = prepared else {
-                    return self.fall_back(k, None).map(Some);
+                    return self.fall_back(k).map(Some);
                 };
                 let run = k.run_planned(self, &plan, &op)?;
                 // The recorded cost is the steady-state (warm) cost plus
@@ -1340,16 +1332,11 @@ impl Runtime {
         }
     }
 
-    /// Serve `k` cold from CSR under the pinned schedule, or the
-    /// heuristic's pick — the fallback when a plan fails.
-    fn fall_back<K: ServedKernel>(
-        &self,
-        k: &K,
-        pin: Option<ScheduleKind>,
-    ) -> simt::Result<Served<K::Output>> {
-        let kind = pin.unwrap_or_else(|| self.heuristic_kind(k.matrix()));
+    /// Serve `k` cold from CSR under the heuristic's pick — the
+    /// fallback when a plan fails.
+    fn fall_back<K: ServedKernel>(&self, k: &K) -> simt::Result<Served<K::Output>> {
         Ok(Served {
-            run: k.run_cold(self, kind)?,
+            run: k.run_cold(self, self.heuristic_kind(k.matrix()))?,
             format: FormatKind::Csr,
             fell_back: true,
         })
@@ -1361,43 +1348,22 @@ impl Runtime {
     }
 
     /// A standalone planned serve: [`Self::cached_or_tuned`], with an
-    /// untuned miss prepared under the pin or the heuristic, run
-    /// through its plan, and cached. Tune events carry `ts_ms = 0`.
+    /// untuned miss prepared under the heuristic, run through its plan,
+    /// and cached. Tune events carry `ts_ms = 0`.
     fn serve_planned<K: ServedKernel>(
         &mut self,
         k: &K,
         fp: Fingerprint,
-        pin: Option<ScheduleKind>,
     ) -> simt::Result<PlannedRun<K::Output>> {
-        if let Some(served) = self.cached_or_tuned(k, fp, pin, 0.0)? {
+        if let Some(served) = self.cached_or_tuned(k, fp, 0.0)? {
             return Ok(served.run);
         }
-        let kind = pin.unwrap_or_else(|| self.heuristic_kind(k.matrix()));
+        let kind = self.heuristic_kind(k.matrix());
         let op = self.prepared_operand(fp, k.matrix(), FormatKind::Csr)?;
         let plan = Arc::new(k.prepare(self, kind, &op)?);
         let run = k.run_planned(self, &plan, &op)?;
         self.cache.insert(Self::logical_key(K::KIND, fp), plan);
         Ok(run)
-    }
-
-    /// Serve one standalone SpMV through the plan cache with a *pinned*
-    /// schedule — the shard crate's per-shard execution primitive. The
-    /// first call for a matrix prepares and caches a [`KernelPlan`] for
-    /// `kind` under the `("spmv", fingerprint)` key; later calls replay
-    /// it, skipping setup. A cached plan whose schedule disagrees with
-    /// the pin (the same sub-matrix served through a differently-pinned
-    /// path) counts as a miss and is re-prepared rather than silently
-    /// un-pinning the caller: sharded merges are bitwise-correct only
-    /// under the schedule the split layer chose. Warm and cold runs are
-    /// bitwise identical ([`formats::spmv_format_with_plan`]'s contract).
-    pub fn run_spmv_pinned(
-        &mut self,
-        a: &Arc<Csr<f32>>,
-        x: &[f32],
-        kind: ScheduleKind,
-    ) -> simt::Result<PlannedRun<Vec<f32>>> {
-        let fp = self.fingerprint(a);
-        self.serve_planned(&Spmv { a, x }, fp, Some(kind))
     }
 
     /// Serve one SpMM through the plan cache. The first call for a
@@ -1414,7 +1380,7 @@ impl Runtime {
         b: &DenseMatrix<f32>,
     ) -> simt::Result<PlannedRun<DenseMatrix<f32>>> {
         let fp = self.fingerprint(a);
-        self.serve_planned(&Spmm { a, b }, fp, None)
+        self.serve_planned(&Spmm { a, b }, fp)
     }
 
     /// Serve one BFS through the plan cache. Frontiers change every
@@ -1426,7 +1392,7 @@ impl Runtime {
     /// whichever source its exploration serve carries.
     pub fn run_bfs(&mut self, g: &Arc<Graph>, src: usize) -> simt::Result<PlannedRun<Vec<u32>>> {
         let fp = self.fingerprint(g.adjacency());
-        self.serve_planned(&Bfs { g, src }, fp, None)
+        self.serve_planned(&Bfs { g, src }, fp)
     }
 
     /// Serve a request stream to completion. Requests are processed in
@@ -1585,7 +1551,7 @@ impl Runtime {
         let served = if let [(r, _)] = members {
             let k = Spmv { a: &r.matrix, x: &r.x };
             let fp = self.fingerprint(&r.matrix);
-            let served = match self.cached_or_tuned(&k, fp, None, submit_ms)? {
+            let served = match self.cached_or_tuned(&k, fp, submit_ms)? {
                 Some(served) => served,
                 // An untuned serve miss runs cold, then prepares the plan
                 // for the next request. Plan construction can fail
@@ -2693,24 +2659,6 @@ mod tests {
             assert_eq!(c.format, winner.1);
             assert_eq!(c.cache_hit, Some(true));
         }
-    }
-
-    #[test]
-    fn pinned_schedule_mismatch_counts_as_a_miss() {
-        // A cached plan under another schedule cannot serve the pin, so
-        // the lookup counts a miss, not a hit.
-        let mut rt = Runtime::new(GpuSpec::v100(), RuntimeConfig::default());
-        let a = Arc::clone(&corpus(1, 1_100)[0]);
-        let x = sparse::dense::test_vector(a.cols());
-        let first = rt.run_spmv_pinned(&a, &x, ScheduleKind::ThreadMapped).unwrap();
-        let second = rt.run_spmv_pinned(&a, &x, ScheduleKind::WorkQueue(8)).unwrap();
-        assert!(!first.cache_hit && !second.cache_hit);
-        let stats = rt.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 2));
-        // The re-prepared plan replaced the old one and serves warm.
-        let warm = rt.run_spmv_pinned(&a, &x, ScheduleKind::WorkQueue(8)).unwrap();
-        assert!(warm.cache_hit);
-        assert_eq!(warm.output, second.output);
     }
 
     /// ε = 1 finishes every sweep first; one tuned key and a one-plan

@@ -208,9 +208,14 @@ mod tests {
         let mut rt = runtime();
         let mut a = powerlaw(7);
         // Warm the plan cache and fp memo on the original pattern.
-        let x = vec![1.0f32; a.cols()];
-        rt.run_spmv_pinned(&a, &x, loops::schedule::ScheduleKind::MergePath)
-            .unwrap();
+        let warm = Request {
+            id: 0,
+            tenant: 0,
+            matrix: Arc::clone(&a),
+            x: vec![1.0f32; a.cols()].into(),
+            arrival_ms: 0.0,
+        };
+        rt.serve(&[warm]).unwrap();
         let fp = rt.fingerprint(&a);
         // Insert at a coordinate the pattern does not already hold
         // (power-law hubs can be dense rows, so search for a sparse one).

@@ -1,14 +1,15 @@
-//! A simulated shard group: N serving runtimes, each standing in for a
-//! device pool on its own node, joined by an interconnect.
+//! A simulated shard group: N nodes joined by an interconnect, each
+//! standing in for a device pool with its own serving runtime.
 //!
 //! Two serving modes, matching the two ways a request can relate to the
 //! partition:
 //!
 //! * [`ShardGroup::serve_split`] — every request's matrix is split
-//!   across *all* shards by a [`ShardPlan`]; each shard computes its
-//!   row block and the group pays a bulk-synchronous halo-exchange +
-//!   merge charge per request. Results are bitwise identical to the
-//!   single-shard path (see [`runtime::split`]).
+//!   across *all* shards by a [`ShardPlan`]; each shard runs
+//!   [`spmv_rows`] over its row span of the request's own matrix, and
+//!   the group pays a bulk-synchronous halo-exchange + merge charge per
+//!   request. Results are bitwise identical to the single-shard path
+//!   (see [`runtime::decomposable`]).
 //! * [`ShardGroup::serve_routed`] — whole requests are routed to their
 //!   tenant's home shard by the consistent-hash [`HashRing`]; each
 //!   shard's runtime serves its slice of the stream with its own plan
@@ -17,25 +18,29 @@
 //!
 //! Both modes record every request outcome in a [`Ledger`], the record
 //! the runtime serves through, so admission, drops, tenant samples and
-//! the report are the runtime's own.
+//! the report are the runtime's own. The shard runtimes serve routed
+//! mode only: split execution and [`ShardGroup::pagerank`] launch
+//! kernels directly, the path `bench::node` runs too.
 //!
 //! The split path is a *global* data-parallel execution (strong
 //! scaling, communication-bound); the routed path is *tenant*
 //! parallelism (throughput scaling, balance-bound). `shard_bench`
 //! sweeps split mode against shard count.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use kernels::graph::Graph;
 use kernels::pagerank::{normalized_transpose, power_iteration};
+use kernels::spmv::{spmv_rows, DEFAULT_BLOCK};
 use loops::schedule::ScheduleKind;
 use runtime::cache::Lru;
-use runtime::split::{pinned_schedule, split_spmv};
 use runtime::{
-    Completion, DeviceReport, DropReason, Ledger, Request, Runtime, RuntimeConfig, ServeResult,
+    pinned_schedule, Completion, DeviceReport, DropReason, Ledger, Request, Runtime, RuntimeConfig,
+    ServeResult,
 };
 use simt::exchange::halo_exchange;
-use simt::{GpuSpec, MultiGpuSpec};
+use simt::{CostModel, GpuSpec, MultiGpuSpec};
 use sparse::{Csr, ShardPlan, ShardStrategy};
 use trace::{ShardPhase, TraceEvent, TraceSink};
 
@@ -54,9 +59,10 @@ pub struct ShardGroupConfig {
     pub shards: usize,
     /// How split-mode matrices are partitioned across shards.
     pub strategy: ShardStrategy,
-    /// Per-shard runtime configuration (device pool, caches, batching).
-    /// Its `queue_depth` and `policy` are also the split path's global
-    /// admission window.
+    /// Per-shard runtime configuration: all of it applies to routed
+    /// mode. Split mode reads `queue_depth` and `policy` (the global
+    /// admission window), `deadline_ms`, `keep_results`, and
+    /// `plan_cache_capacity` (the bound of the split cache).
     pub runtime: RuntimeConfig,
     /// Inter-shard link bandwidth per direction, GB/s.
     pub link_bw_gbs: f64,
@@ -77,15 +83,17 @@ impl ShardGroupConfig {
     }
 }
 
-/// One matrix cut for split execution, with its communication priced
-/// once: the charge is a pure function of the cut and the link.
-/// [`ShardGroup::serve_split`] caches one per [`Csr::value_epoch`], so
-/// repeat tenants pay the partitioning cost once (the group-level
-/// analogue of the runtime's plan cache); [`ShardGroup::pagerank`]
-/// builds one per solve.
+/// One matrix cut for split execution: each shard's row span, the
+/// pinned schedule, and the communication priced once. All of it
+/// follows from the matrix's structure and the link, so
+/// [`ShardGroup::serve_split`] caches one per [`Csr::structure_id`]:
+/// repeat tenants pay the partitioning once (the group-level analogue
+/// of the runtime's plan cache), and a write through `values_mut`
+/// keeps the cut. [`ShardGroup::pagerank`] builds one per solve.
 #[derive(Debug)]
 struct SplitEntry {
-    subs: Vec<Arc<Csr<f32>>>,
+    /// Each shard's rows of the source matrix, in shard order.
+    spans: Vec<Range<usize>>,
     kind: ScheduleKind,
     total_halo: u64,
     /// Shard whose halo bounds the exchange (owns the critical
@@ -105,14 +113,31 @@ impl SplitEntry {
             .max_by_key(|&(_, &b)| b)
             .map_or(0, |(i, _)| i as u32);
         Self {
-            subs: (0..plan.num_shards())
-                .map(|s| Arc::new(plan.submatrix(a, s)))
-                .collect(),
+            spans: plan.shards.iter().map(|s| s.rows.clone()).collect(),
             kind: pinned_schedule(a),
             total_halo: plan.total_halo_bytes(),
             bounding_shard,
             comm_ms: halo_exchange(link, &halo_bytes, plan.max_output_bytes()).total_ms(),
         }
+    }
+
+    /// One split SpMV of `a`, a matrix with the structure this cut was
+    /// made from: [`spmv_rows`] under the pinned schedule over each
+    /// non-empty span (an empty one launches nothing), the slices
+    /// concatenated. Returns `y` and the slowest shard's kernel time,
+    /// the compute half of the bulk-synchronous critical path. The
+    /// pinned schedule is flat-span, so `y` is bitwise the whole-matrix
+    /// run's at any shard count.
+    fn spmv(&self, spec: &GpuSpec, a: &Csr<f32>, x: &[f32]) -> simt::Result<(Vec<f32>, f64)> {
+        let model = CostModel::standard();
+        let mut y = Vec::with_capacity(a.rows());
+        let mut critical_ms = 0.0f64;
+        for rows in self.spans.iter().filter(|r| !r.is_empty()) {
+            let run = spmv_rows(spec, &model, a, rows.clone(), x, self.kind, DEFAULT_BLOCK)?;
+            y.extend(run.y);
+            critical_ms = critical_ms.max(run.report.elapsed_ms());
+        }
+        Ok((y, critical_ms))
     }
 }
 
@@ -132,17 +157,18 @@ pub struct ShardPageRank {
     pub comm_ms: f64,
 }
 
-/// N shard runtimes plus the ring, link model, and split-partition
-/// cache that tie them into one serving surface.
+/// N shard runtimes plus the ring, link model, and split cache that tie
+/// them into one serving surface.
 #[derive(Debug)]
 pub struct ShardGroup {
     cfg: ShardGroupConfig,
     ring: HashRing,
+    /// The shards' runtimes, which serve routed mode.
     shards: Vec<Runtime>,
     link: MultiGpuSpec,
-    /// Split partitions keyed by the source's value epoch: equal epochs
-    /// mean equal structure and equal values. An [`Lru`] of the shards'
-    /// `plan_cache_capacity` entries.
+    /// Split cuts keyed by the source's structure id: equal ids mean
+    /// equal structure. An [`Lru`] of `plan_cache_capacity` entries,
+    /// whose counters are a split serve's cache counters.
     splits: Lru<u64, Arc<SplitEntry>>,
     sink: Option<Arc<dyn TraceSink>>,
 }
@@ -209,13 +235,13 @@ impl ShardGroup {
         self.ring.route(u64::from(r.tenant))
     }
 
-    /// Partition (or recall) the split-mode plan for `a`. A matrix
-    /// rebuilt, or written through `values_mut`, since the last cut has
-    /// a new value epoch and so gets a new partition.
-    fn split_entry(&mut self, a: &Csr<f32>) -> Arc<SplitEntry> {
-        let key = a.value_epoch();
+    /// Partition (or recall) the split-mode cut of `a`, and whether it
+    /// was cached. A write through `values_mut` keeps the cut; a
+    /// rebuilt matrix has a new structure id and so gets a new one.
+    fn split_entry(&mut self, a: &Csr<f32>) -> (Arc<SplitEntry>, bool) {
+        let key = a.structure_id();
         if let Some(entry) = self.splits.get(&key) {
-            return Arc::clone(entry);
+            return (Arc::clone(entry), true);
         }
         let entry = Arc::new(SplitEntry::new(
             a,
@@ -224,29 +250,33 @@ impl ShardGroup {
             &self.link,
         ));
         self.splits.insert(key, Arc::clone(&entry));
-        entry
+        (entry, false)
     }
 
     /// Serve a request stream in **split mode**: each request runs
     /// data-parallel across every shard, bulk-synchronously — compute
-    /// the critical shard's row block, pay the halo-exchange and merge
+    /// the critical shard's row span, pay the halo-exchange and merge
     /// charge, concatenate. The merged outputs are bitwise identical to
     /// serving on one shard (the root `shard_oracle` tests assert it).
     ///
-    /// Requests are taken in arrival order. Global admission applies
-    /// the runtime window ([`RuntimeConfig::queue_depth`] and
+    /// Requests are taken in arrival order, ties by id, as
+    /// [`Runtime::serve`] takes them. Global admission applies the
+    /// runtime window ([`RuntimeConfig::queue_depth`] and
     /// [`RuntimeConfig::policy`]) *before* routing; per-request
     /// deadlines ([`RuntimeConfig::deadline_ms`]) are honored against
-    /// the start time.
+    /// the start time. The report's cache counters and each
+    /// completion's `cache_hit` are the split cache's: one lookup per
+    /// request that starts.
     pub fn serve_split(&mut self, requests: &[Request]) -> simt::Result<ServeResult> {
         let mut order: Vec<&Request> = requests.iter().collect();
         order.sort_by(|a, b| {
             a.arrival_ms
                 .partial_cmp(&b.arrival_ms)
                 .expect("finite arrivals")
+                .then(a.id.cmp(&b.id))
         });
 
-        let cache_before: Vec<_> = self.shards.iter().map(Runtime::cache_stats).collect();
+        let cache_before = self.splits.stats();
         let mut ledger = Ledger::new(self.sink.clone());
         // The split path is bulk-synchronous: one request occupies the
         // whole group at a time, so completion times never decrease.
@@ -268,9 +298,9 @@ impl ShardGroup {
                 continue;
             }
 
-            let split = self.split_entry(&r.matrix);
-            let run = split_spmv(&mut self.shards, &split.subs, &r.x, split.kind)?;
-            let end = start + run.critical_shard_ms() + split.comm_ms;
+            let (split, cache_hit) = self.split_entry(&r.matrix);
+            let (y, critical_ms) = split.spmv(&self.link.device, &r.matrix, &r.x)?;
+            let end = start + critical_ms + split.comm_ms;
 
             if self.shards.len() > 1 {
                 ledger.shard.halo_bytes += split.total_halo;
@@ -283,9 +313,8 @@ impl ShardGroup {
             }
             ledger.shard.merges += 1;
             ledger.shard.comm_ms += split.comm_ms;
-            self.emit(home, ShardPhase::Merge, end, 4.0 * run.y.len() as f64);
+            self.emit(home, ShardPhase::Merge, end, 4.0 * y.len() as f64);
 
-            let active = split.subs.iter().filter(|s| s.rows() > 0).count();
             ledger.served(
                 r.tenant,
                 Completion {
@@ -295,23 +324,21 @@ impl ShardGroup {
                     end_ms: end,
                     device: home as usize,
                     batched: false,
-                    cache_hit: Some(run.cache_hits == active),
+                    cache_hit: Some(cache_hit),
                     schedule: split.kind,
                     format: sparse::FormatKind::Csr,
                     attempts: 1,
-                    y: self.cfg.runtime.keep_results.then_some(run.y),
+                    y: self.cfg.runtime.keep_results.then_some(y),
                 },
             );
             ledger.occupy(end);
             busy_until = end;
         }
 
-        for (rt, before) in self.shards.iter().zip(&cache_before) {
-            let after = rt.cache_stats();
-            ledger.cache.hits += after.hits - before.hits;
-            ledger.cache.misses += after.misses - before.misses;
-            ledger.cache.evictions += after.evictions - before.evictions;
-        }
+        let after = self.splits.stats();
+        ledger.cache.hits = after.hits - cache_before.hits;
+        ledger.cache.misses = after.misses - cache_before.misses;
+        ledger.cache.evictions = after.evictions - cache_before.evictions;
         // Every shard takes part in every served request.
         ledger.devices = (0..self.shards.len())
             .map(|device| DeviceReport {
@@ -363,12 +390,7 @@ impl ShardGroup {
     /// its SpMV step. The scalar update (dangling mass, teleport, delta)
     /// runs on the *merged* vector, which is why the ranks are bitwise
     /// identical to the single-shard run at any shard count.
-    pub fn pagerank(
-        &mut self,
-        g: &Graph,
-        tol: f32,
-        max_iters: usize,
-    ) -> simt::Result<ShardPageRank> {
+    pub fn pagerank(&self, g: &Graph, tol: f32, max_iters: usize) -> simt::Result<ShardPageRank> {
         let n = g.num_vertices();
         assert!(n > 0, "graph must have vertices");
         let mt = normalized_transpose(g);
@@ -378,10 +400,10 @@ impl ShardGroup {
         let mut comm_ms = 0.0f64;
         let init = vec![1.0f32 / n as f32; n];
         let (rank, iterations) = power_iteration(g, tol, max_iters, &init, |rank| {
-            let run = split_spmv(&mut self.shards, &split.subs, rank, split.kind)?;
-            compute_ms += run.critical_shard_ms();
+            let (y, critical_ms) = split.spmv(&self.link.device, &mt, rank)?;
+            compute_ms += critical_ms;
             comm_ms += split.comm_ms;
-            Ok(run.y)
+            Ok(y)
         })?;
         Ok(ShardPageRank {
             rank,
@@ -436,6 +458,21 @@ mod tests {
         ShardGroup::new(GpuSpec::test_tiny(), cfg)
     }
 
+    fn bits(out: &ServeResult, i: usize) -> Vec<u32> {
+        let y = out.completions[i].y.as_ref().expect("keep_results");
+        y.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn request(id: u64, a: &Arc<Csr<f32>>) -> Request {
+        Request {
+            id,
+            tenant: 0,
+            matrix: Arc::clone(a),
+            x: sparse::dense::test_vector(a.cols()).into(),
+            arrival_ms: 0.0,
+        }
+    }
+
     #[test]
     fn split_serving_is_bitwise_identical_across_shard_counts() {
         let reqs = workload(60);
@@ -464,13 +501,59 @@ mod tests {
         assert_eq!(shard.merges, out.report.served);
         assert!(shard.halo_bytes > 0, "4-way powerlaw splits must have ghosts");
         assert!(out.report.reconciles());
-        assert!(out.report.cache.hits > 0, "repeat tenants must hit shard caches");
+        // One split-cache lookup per served request.
+        let cache = out.report.cache;
+        assert_eq!(cache.hits + cache.misses, out.report.served);
+        assert!(cache.hits > 0, "repeat matrices must hit the split cache");
+        let hits = out.completions.iter().filter(|c| c.cache_hit == Some(true));
+        assert_eq!(hits.count(), cache.hits);
+    }
+
+    #[test]
+    fn arrival_ties_break_by_id() {
+        // The same simultaneous requests in reverse input order must
+        // start and end at the same times, request by request.
+        let times = |reqs: &[Request]| {
+            let out = group(2).serve_split(reqs).unwrap();
+            let mut t: Vec<_> = out
+                .completions
+                .iter()
+                .map(|c| (c.id, c.start_ms.to_bits(), c.end_ms.to_bits()))
+                .collect();
+            t.sort_unstable();
+            t
+        };
+        let ordered = simultaneous(20);
+        let mut reversed = ordered.clone();
+        reversed.reverse();
+        assert_eq!(times(&reversed), times(&ordered));
+    }
+
+    #[test]
+    fn empty_spans_launch_nothing_and_match_one_shard() {
+        // Eight equal-row shards over three rows: five spans are empty.
+        let a = Arc::new(sparse::gen::uniform(3, 3, 6, 23));
+        let req = [request(0, &a)];
+        let mut cfg = ShardGroupConfig::new(8);
+        cfg.strategy = ShardStrategy::Rows1D;
+        cfg.runtime.keep_results = true;
+        let mut grp = ShardGroup::new(GpuSpec::test_tiny(), cfg);
+        let rec = Arc::new(trace::Recorder::with_capacity(4_096));
+        let out = simt::tracing::scoped(rec.clone(), "split", || grp.serve_split(&req)).unwrap();
+        let launches = rec
+            .snapshot()
+            .events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Kernel { .. }))
+            .count();
+        assert_eq!(launches, 3, "one launch per non-empty span");
+        assert_eq!(bits(&out, 0), bits(&group(1).serve_split(&req).unwrap(), 0));
     }
 
     #[test]
     fn split_cache_stays_bounded_under_structural_mutation() {
-        // Every rebuild mints a new value epoch, so without the bound the
-        // split cache would grow by one dead entry per round.
+        // Every rebuild mints a new structure id, so without the bound
+        // the split cache would grow by one dead entry per round.
         let mut cfg = ShardGroupConfig::new(2);
         cfg.runtime.keep_results = true;
         cfg.runtime.plan_cache_capacity = 4;
@@ -478,26 +561,16 @@ mod tests {
         let mut rt = Runtime::new(GpuSpec::test_tiny(), cfg.runtime);
         let mut a = Arc::new(sparse::gen::powerlaw(300, 300, 3_000, 1.8, 5));
         let mut stream = sparse::delta::EvolvingStream::new(3, 0.5);
-        let bits = |out: &ServeResult| -> Vec<u32> {
-            let y = out.completions[0].y.as_ref().expect("keep_results");
-            y.iter().map(|v| v.to_bits()).collect()
-        };
         for round in 0..12u64 {
             let batch = stream.next_batch(&a, 16);
             let out = runtime::mutate(&mut rt, &mut a, &batch).unwrap();
             assert_eq!(out.path, sparse::delta::ApplyPath::Rebuilt);
-            let req = [Request {
-                id: round,
-                tenant: 0,
-                matrix: Arc::clone(&a),
-                x: sparse::dense::test_vector(a.cols()).into(),
-                arrival_ms: 0.0,
-            }];
+            let req = [request(round, &a)];
             let got = grp.serve_split(&req).unwrap();
             let want = ShardGroup::new(GpuSpec::test_tiny(), cfg.clone())
                 .serve_split(&req)
                 .unwrap();
-            assert_eq!(bits(&got), bits(&want), "round {round}");
+            assert_eq!(bits(&got, 0), bits(&want, 0), "round {round}");
             assert!(grp.splits.len() <= 4, "round {round}: {}", grp.splits.len());
         }
     }
@@ -509,17 +582,9 @@ mod tests {
         let mut cfg = ShardGroupConfig::new(2);
         cfg.runtime.plan_cache_capacity = 4;
         let mut grp = ShardGroup::new(GpuSpec::test_tiny(), cfg);
-        let request = |id: u64, a: &Arc<Csr<f32>>| Request {
-            id,
-            tenant: 0,
-            matrix: Arc::clone(a),
-            x: sparse::dense::test_vector(a.cols()).into(),
-            arrival_ms: 0.0,
-        };
         let hot = Arc::new(sparse::gen::banded(300, 4, 7));
         let hot_cut = |grp: &mut ShardGroup| {
-            let split = grp.splits.get(&hot.value_epoch()).expect("hot split");
-            Arc::clone(&split.subs[0])
+            Arc::clone(grp.splits.get(&hot.structure_id()).expect("hot split"))
         };
         grp.serve_split(&[request(0, &hot)]).unwrap();
         let cut = hot_cut(&mut grp);
@@ -536,6 +601,26 @@ mod tests {
         let mut uncached = ShardGroup::new(GpuSpec::test_tiny(), cfg);
         assert_eq!(uncached.serve_split(&[request(0, &hot)]).unwrap().report.served, 1);
         assert!(uncached.splits.is_empty());
+    }
+
+    #[test]
+    fn split_cache_keeps_the_cut_across_a_value_write() {
+        // The cut depends on the structure alone: a write through
+        // `values_mut` reuses it, and the next serve reads the new values.
+        let mut grp = group(2);
+        let mut a = Arc::new(sparse::gen::uniform(300, 300, 3_000, 9));
+        let before = grp.serve_split(&[request(0, &a)]).unwrap();
+        let cut = Arc::clone(grp.splits.get(&a.structure_id()).expect("cut cached"));
+        for v in Arc::make_mut(&mut a).values_mut() {
+            *v *= 2.0;
+        }
+        let after = grp.serve_split(&[request(1, &a)]).unwrap();
+        let kept = grp.splits.get(&a.structure_id()).expect("cut kept");
+        assert!(Arc::ptr_eq(kept, &cut), "a value write re-partitioned");
+        assert_eq!(after.completions[0].cache_hit, Some(true));
+        let fresh = group(2).serve_split(&[request(1, &a)]).unwrap();
+        assert_eq!(bits(&after, 0), bits(&fresh, 0), "served pre-write values");
+        assert_ne!(bits(&after, 0), bits(&before, 0));
     }
 
     #[test]

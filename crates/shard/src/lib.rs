@@ -2,26 +2,28 @@
 //!
 //! The serving runtime (`runtime`) scales *within* one node: a device
 //! pool behind one plan cache. This crate scales *across* nodes: a
-//! [`ShardGroup`] of N independent runtimes joined by an interconnect
-//! whose cost model (`simt::exchange`) prices the data movement the
-//! single-node path never pays.
+//! [`ShardGroup`] of N nodes joined by an interconnect whose cost model
+//! (`simt::exchange`) prices the data movement the single-node path
+//! never pays.
 //!
 //! Three layers:
 //!
 //! * **Partitioning** (`sparse::partition`) — 1D row, 1D nnz, and 2D
-//!   row×nnz splits of a CSR matrix into row-aligned sub-matrices with
-//!   halo (ghost-column) metadata: which input-vector entries each
-//!   shard needs but does not own.
+//!   row×nnz cuts of a CSR matrix into contiguous row spans with halo
+//!   (ghost-column) metadata: which input-vector entries each shard
+//!   needs but does not own.
 //! * **Routing** ([`HashRing`]) — consistent hashing of tenants onto
 //!   shards with virtual nodes: deterministic, and adding a shard
 //!   remaps only ~`1/n` of tenants.
 //! * **Serving** ([`ShardGroup`]) — split mode (every request
-//!   data-parallel across all shards, paying a bulk-synchronous
-//!   halo-exchange + merge charge) and routed mode (whole requests to
-//!   their tenant's home shard, no communication). Split-mode results
-//!   are **bitwise identical** to the single-shard path at any shard
-//!   count, because the partition is row-aligned (merging is
-//!   concatenation) and the schedule is pinned to a flat-span one
+//!   data-parallel across all shards, each running
+//!   `kernels::spmv::spmv_rows` over its row span of the request's own
+//!   matrix, paying a bulk-synchronous halo-exchange + merge charge)
+//!   and routed mode (whole requests to their tenant's home shard's
+//!   runtime, no communication). Split-mode results are **bitwise
+//!   identical** to the single-shard path at any shard count, because
+//!   the partition is row-aligned (merging is concatenation) and the
+//!   schedule is pinned to a flat-span one
 //!   (`runtime::split::pinned_schedule`) whose per-row fold order is
 //!   position-independent.
 //!

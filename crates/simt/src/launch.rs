@@ -21,7 +21,7 @@ use crate::group::GroupCtx;
 use crate::lane::LaneCtx;
 use crate::occupancy::Occupancy;
 use crate::report::LaunchReport;
-use crate::scheduler::{device_time_traced, grid_costs, TraceCtx};
+use crate::scheduler::{device_time_traced, TraceCtx};
 use crate::spec::GpuSpec;
 use trace::{KernelId, TraceEvent};
 
@@ -124,7 +124,7 @@ pub fn launch_with_model<K: BlockKernel>(
     let t0 = std::time::Instant::now();
     let blocks = run_blocks(spec, model, &cfg, kernel, scoped_sink.is_some())?;
     let host_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let timing = match &scoped_sink {
+    let (timing, mem) = match &scoped_sink {
         None => device_time_traced(spec, model, &blocks, cfg.grid_dim, &occ, None),
         Some((sink, label)) => {
             let ctx = TraceCtx {
@@ -132,7 +132,8 @@ pub fn launch_with_model<K: BlockKernel>(
                 kernel: KernelId::next(),
                 device: 0,
             };
-            let timing = device_time_traced(spec, model, &blocks, cfg.grid_dim, &occ, Some(&ctx));
+            let (timing, mem) =
+                device_time_traced(spec, model, &blocks, cfg.grid_dim, &occ, Some(&ctx));
             sink.event(&TraceEvent::Kernel {
                 id: ctx.kernel,
                 name: label,
@@ -143,13 +144,9 @@ pub fn launch_with_model<K: BlockKernel>(
                 grid_dim: cfg.grid_dim,
                 block_dim: cfg.block_dim,
             });
-            timing
+            (timing, mem)
         }
     };
-    let mem = grid_costs(&blocks, cfg.grid_dim)
-        .fold(crate::cost::MemSummary::default(), |acc, b| {
-            acc.merged(b.mem)
-        });
     Ok(LaunchReport {
         grid_dim: cfg.grid_dim,
         block_dim: cfg.block_dim,
@@ -225,8 +222,8 @@ where
 
 /// Execute the grid's blocks up to and including the first idle one on
 /// the active [host backend](crate::host), returning their costs in
-/// block order; [`grid_costs`] charges every later block as a repeat of
-/// the last.
+/// block order; [`grid_costs`](crate::scheduler::grid_costs) charges
+/// every later block as a repeat of the last.
 ///
 /// Sequential (the default) runs blocks in ascending index order on the
 /// calling thread; `Parallel { threads }` hands them to the

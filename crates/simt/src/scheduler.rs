@@ -49,7 +49,7 @@ pub fn device_time(
     blocks: &[BlockCost],
     occ: &Occupancy,
 ) -> TimingBreakdown {
-    device_time_traced(spec, model, blocks, blocks.len() as u32, occ, None)
+    device_time_traced(spec, model, blocks, blocks.len() as u32, occ, None).0
 }
 
 /// Every block's cost in a launch of `grid_dim` blocks that executed
@@ -72,7 +72,8 @@ pub(crate) fn grid_costs(blocks: &[BlockCost], grid_dim: u32) -> impl Iterator<I
 /// costs the last entry, and is dispatched, traced and summed exactly
 /// as a stored copy of it would be.
 ///
-/// The timing math is untouched by tracing — the sink only observes the
+/// Returns the timing and the launch's summed memory traffic. The
+/// timing math is untouched by tracing — the sink only observes the
 /// greedy dispatcher's intermediate state (which SM each block lands on
 /// and the SM's queue depth before/after), so traced and untraced calls
 /// return identical breakdowns.
@@ -83,7 +84,7 @@ pub fn device_time_traced(
     grid_dim: u32,
     occ: &Occupancy,
     trace: Option<&TraceCtx<'_>>,
-) -> TimingBreakdown {
+) -> (TimingBreakdown, MemSummary) {
     let hide = (f64::from(occ.resident_warps) / model.latency_hiding_warps).min(1.0);
     let eff_issue = (f64::from(spec.issue_width_per_sm) * hide).max(1e-9);
 
@@ -147,7 +148,8 @@ pub fn device_time_traced(
         }
     }
 
-    breakdown(spec, model, eff_issue, &load, &critical, mem, total_units)
+    let timing = breakdown(spec, model, eff_issue, &load, &critical, mem, total_units);
+    (timing, mem)
 }
 
 /// The launch's timing from the dispatcher's final state: each SM's
@@ -179,18 +181,7 @@ fn breakdown(
     } else {
         0.0
     };
-    // Idle SMs issue no loads, so an imbalanced launch cannot saturate the
-    // memory system: achieved bandwidth scales with SM busyness. A quarter
-    // of the SMs streaming flat-out can still reach peak (memory-level
-    // parallelism), and even one busy SM draws ~5% of peak — hence the
-    // clamp. This coupling is what makes load imbalance hurt *memory-bound*
-    // kernels, the central phenomenon of the paper's evaluation.
-    let bw_frac = if mem.total_bytes() == 0 {
-        1.0
-    } else {
-        (utilization * 4.0).clamp(0.05, 1.0)
-    };
-    let memory_ms = mem.total_bytes() as f64 / (spec.mem_bw_gbs * 1e9 * bw_frac) * 1e3;
+    let memory_ms = memory_ms(spec, mem.total_bytes(), utilization);
     TimingBreakdown {
         compute_ms,
         memory_ms,
@@ -206,6 +197,24 @@ fn breakdown(
         effective_issue_width: eff_issue,
         sm_times_ms: sm_cycles.iter().map(|&c| c * cycles_to_ms).collect(),
     }
+}
+
+/// The memory roofline: milliseconds to move `bytes` of global traffic
+/// while a `utilization` share of the SMs is busy.
+///
+/// Idle SMs issue no loads, so an imbalanced launch cannot saturate the
+/// memory system: achieved bandwidth scales with SM busyness. A quarter
+/// of the SMs streaming flat-out can still reach peak (memory-level
+/// parallelism), and even one busy SM draws ~5% of peak — hence the
+/// clamp. This coupling is what makes load imbalance hurt *memory-bound*
+/// kernels, the central phenomenon of the paper's evaluation.
+pub(crate) fn memory_ms(spec: &GpuSpec, bytes: u64, utilization: f64) -> f64 {
+    let bw_frac = if bytes == 0 {
+        1.0
+    } else {
+        (utilization * 4.0).clamp(0.05, 1.0)
+    };
+    bytes as f64 / (spec.mem_bw_gbs * 1e9 * bw_frac) * 1e3
 }
 
 #[cfg(test)]
@@ -378,7 +387,8 @@ mod tests {
                         kernel: KernelId::next(),
                         device: 0,
                     };
-                    let heap = device_time_traced(&spec, &model, &blocks, grid as u32, &o, Some(&ctx));
+                    let (heap, _) =
+                        device_time_traced(&spec, &model, &blocks, grid as u32, &o, Some(&ctx));
                     let spans: Vec<(u32, u64, u64)> = rec
                         .snapshot()
                         .events
@@ -521,7 +531,8 @@ mod tests {
             kernel: KernelId::next(),
             device: 0,
         };
-        let traced = device_time_traced(&spec, &model, &blocks, blocks.len() as u32, &o, Some(&ctx));
+        let (traced, _) =
+            device_time_traced(&spec, &model, &blocks, blocks.len() as u32, &o, Some(&ctx));
         assert_eq!(plain, traced);
         let data = rec.snapshot();
         let spans: Vec<_> = data

@@ -320,13 +320,8 @@ impl DeviceSim {
         } else {
             0.0
         };
-        let bw_frac = if report.mem.total_bytes() == 0 {
-            1.0
-        } else {
-            (utilization * 4.0).clamp(0.05, 1.0)
-        };
         let memory_ms =
-            report.mem.total_bytes() as f64 / (self.spec.mem_bw_gbs * 1e9 * bw_frac) * 1e3;
+            crate::scheduler::memory_ms(&self.spec, report.mem.total_bytes(), utilization);
         let end = compute_ms.max(memory_ms) + report.timing.overhead_ms + start;
 
         // Mid-run kill: the job started before the kill tick but would

@@ -185,12 +185,6 @@ impl ShardPlan {
         self.boundaries.partition_point(|&b| b <= r).saturating_sub(1)
     }
 
-    /// Materialize shard `s`'s sub-matrix (row slice; the column space
-    /// is kept so the full replicated `x` applies unchanged).
-    pub fn submatrix<V: Copy>(&self, a: &Csr<V>, s: usize) -> Csr<V> {
-        a.row_slice(self.shards[s].rows.clone())
-    }
-
     /// Total ghost bytes across all shards (the exchange volume one
     /// distributed SpMV generates).
     pub fn total_halo_bytes(&self) -> u64 {
@@ -247,11 +241,11 @@ mod tests {
         let a = gen::uniform(1_000, 1_000, 12_000, 8);
         let p = ShardPlan::partition(&a, 4, ShardStrategy::Nnz1D);
         let mut rows = 0usize;
-        for s in 0..p.num_shards() {
-            let sub = p.submatrix(&a, s);
-            assert_eq!(sub.rows(), p.shards[s].rows.len());
+        for info in &p.shards {
+            let sub = a.row_slice(info.rows.clone());
+            assert_eq!(sub.rows(), info.rows.len());
             assert_eq!(sub.cols(), a.cols());
-            assert_eq!(sub.nnz(), p.shards[s].nnz);
+            assert_eq!(sub.nnz(), info.nnz);
             rows += sub.rows();
         }
         assert_eq!(rows, a.rows());

@@ -4,9 +4,11 @@
 //!
 //! Three layers of the claim:
 //!
-//! * **SpMV, kernel level** — `runtime::split::split_spmv` over every
-//!   partitioning strategy and 2/4/8 shards equals `kernels::spmv`
-//!   under the pinned flat-span schedule on the whole matrix;
+//! * **SpMV, kernel level** — `kernels::spmv::spmv_rows` over each
+//!   shard's row span, for every partitioning strategy and 2/4/8
+//!   shards, equals `kernels::spmv` under the pinned flat-span schedule
+//!   on the whole matrix, and each span launch's report equals that of
+//!   a launch on the span's rows copied out;
 //! * **SpMV, serving level** — `ShardGroup::serve_split` completions at
 //!   2/4/8 shards equal the 1-shard group's, request by request;
 //! * **PageRank** — `ShardGroup::pagerank` (merge partials first, then
@@ -19,12 +21,14 @@
 
 use std::sync::Arc;
 
+use kernels::formats::{prepare_format_plan, spmv_format_with_plan, PreparedOperand};
 use kernels::graph::Graph;
-use runtime::split::{pinned_schedule, split_spmv};
-use runtime::{zipf_workload, Request, Runtime, RuntimeConfig, WorkloadSpec};
+use kernels::spmv::{spmv_rows, spmv_with_model, DEFAULT_BLOCK};
+use runtime::split::pinned_schedule;
+use runtime::{zipf_workload, Request, WorkloadSpec};
 use shard::{ShardGroup, ShardGroupConfig};
-use simt::GpuSpec;
-use sparse::{Csr, ShardPlan, ShardStrategy};
+use simt::{CostModel, GpuSpec, LaunchReport};
+use sparse::{Csr, FormatKind, ShardPlan, ShardStrategy};
 
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 const STRATEGIES: [ShardStrategy; 3] = [
@@ -58,15 +62,19 @@ fn bits(y: &[f32]) -> Vec<u32> {
     y.iter().map(|v| v.to_bits()).collect()
 }
 
-fn runtimes(n: usize) -> Vec<Runtime> {
-    (0..n)
-        .map(|_| Runtime::new(GpuSpec::v100(), RuntimeConfig::default()))
-        .collect()
+/// A launch report without the host's wall clock, the one field that
+/// differs between two runs of the same launch.
+fn strip(r: &LaunchReport) -> LaunchReport {
+    LaunchReport {
+        host_wall_ms: 0.0,
+        ..r.clone()
+    }
 }
 
 #[test]
 fn split_spmv_matches_the_whole_matrix_kernel_on_every_strategy() {
     let spec = GpuSpec::v100();
+    let model = CostModel::standard();
     for a in corpus() {
         let x = sparse::dense::test_vector(a.cols());
         let kind = pinned_schedule(&a);
@@ -74,12 +82,37 @@ fn split_spmv_matches_the_whole_matrix_kernel_on_every_strategy() {
         for strategy in STRATEGIES {
             for n in SHARD_COUNTS {
                 let plan = ShardPlan::partition(a.as_ref(), n, strategy);
-                let subs: Vec<Arc<Csr<f32>>> = (0..n)
-                    .map(|s| Arc::new(plan.submatrix(a.as_ref(), s)))
-                    .collect();
-                let run = split_spmv(&mut runtimes(n), &subs, &x, kind).unwrap();
+                let mut y = Vec::with_capacity(a.rows());
+                for rows in plan.shards.iter().map(|s| s.rows.clone()) {
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    let run = spmv_rows(&spec, &model, &a, rows.clone(), &x, kind, DEFAULT_BLOCK)
+                        .unwrap();
+                    // A span launch costs what a launch on its rows
+                    // copied out costs, cold or under a prepared plan.
+                    let sub = a.row_slice(rows.clone());
+                    let op = PreparedOperand::prepare(&sub, FormatKind::Csr).unwrap();
+                    let prepared =
+                        prepare_format_plan(&spec, &model, &sub, &op, kind, DEFAULT_BLOCK).unwrap();
+                    let cold =
+                        spmv_with_model(&spec, &model, &sub, &x, kind, DEFAULT_BLOCK).unwrap();
+                    let warm =
+                        spmv_format_with_plan(&spec, &model, &sub, &op, &x, &prepared).unwrap();
+                    for copied in [cold, warm] {
+                        assert_eq!(
+                            strip(&run.report),
+                            strip(&copied.report),
+                            "{n}-shard {} rows {rows:?} of {}x{}: span report differs",
+                            strategy.name(),
+                            a.rows(),
+                            a.cols()
+                        );
+                    }
+                    y.extend(run.y);
+                }
                 assert_eq!(
-                    bits(&run.y),
+                    bits(&y),
                     bits(&want),
                     "{n}-shard {} on {}x{} diverged from the whole-matrix kernel",
                     strategy.name(),
@@ -170,7 +203,7 @@ fn sharded_pagerank_matches_the_whole_graph_kernel() {
         let kind = pinned_schedule(&mt);
         let want = kernels::pagerank::pagerank(&spec, &g, kind, 1e-6, 80).unwrap();
         for n in SHARD_COUNTS {
-            let mut grp = ShardGroup::new(GpuSpec::v100(), ShardGroupConfig::new(n));
+            let grp = ShardGroup::new(GpuSpec::v100(), ShardGroupConfig::new(n));
             let run = grp.pagerank(&g, 1e-6, 80).unwrap();
             assert_eq!(run.schedule, kind, "pinned schedule must match");
             assert_eq!(
