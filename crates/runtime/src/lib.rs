@@ -47,7 +47,6 @@ pub mod split;
 pub mod stream;
 pub mod workload;
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -150,11 +149,12 @@ impl Default for RuntimeConfig {
 pub struct Request {
     /// Caller-chosen identifier, echoed in the [`Completion`].
     pub id: u64,
-    /// Tenant the request belongs to. It never influences scheduling
-    /// within a runtime, but a shard group routes whole tenants to a
-    /// home shard by it, and the telemetry layer keys per-tenant latency
-    /// histograms and deadline-miss budgets on it. The Zipf workload
-    /// generator assigns each matrix's popularity rank as its tenant.
+    /// Tenant the request belongs to. It never influences scheduling:
+    /// a shard group's split serve labels each request with its
+    /// tenant's home shard, and the telemetry layer keys per-tenant
+    /// latency histograms and deadline-miss budgets on it. The Zipf
+    /// workload generator assigns each matrix's popularity rank as its
+    /// tenant.
     pub tenant: u32,
     /// The (shared) matrix.
     pub matrix: Arc<Csr<f32>>,
@@ -175,7 +175,9 @@ pub struct Completion {
     pub start_ms: f64,
     /// When its job completed.
     pub end_ms: f64,
-    /// Pool index of the device that ran it.
+    /// Pool index of the device that ran it (for a shard group's split
+    /// serve, which runs every request on every shard, the request's
+    /// home shard).
     pub device: usize,
     /// True if the request was served inside a fused batch launch.
     pub batched: bool,
@@ -281,13 +283,12 @@ pub struct DeviceReport {
     pub faults: FaultCounters,
 }
 
-/// Counters of the sharded-serving aggregation layer (all zero for a
-/// plain single-runtime serve; filled in by the `shard` crate's group
-/// serving paths).
+/// Counters of the sharded-serving layer (all zero for a plain
+/// single-runtime serve; filled in by the `shard` crate's split serve).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ShardCounters {
-    /// Requests the router forwarded to a shard (whole requests in
-    /// routed mode; split requests count once, at their home shard).
+    /// Requests admitted past the global admission layer; each counts
+    /// once, at its home shard, and runs on every shard.
     pub routed: usize,
     /// Ghost-column bytes moved by halo exchanges.
     pub halo_bytes: u64,
@@ -504,9 +505,9 @@ struct DeviceHealth {
 
 /// Every request outcome of one serve call: completions, drops, the
 /// in-flight window and the report's counters. [`Runtime::serve`] and
-/// the `shard` crate's group serving paths all record through it, so a
-/// request is admitted, dropped, traced and counted the same way in
-/// every serving loop, and [`Ledger::finish`] is the one place a
+/// the `shard` crate's split serve both record through it, so a request
+/// is admitted, dropped, traced and counted the same way in every
+/// serving loop, and [`Ledger::finish`] is the one place a
 /// [`RuntimeReport`] is built.
 ///
 /// The outcomes are private; the caller fills in the public totals that
@@ -626,33 +627,6 @@ impl Ledger {
                 outcome: reason.outcome(),
             });
         }
-    }
-
-    /// Fold in `out`, another runtime's answer to `requests`: each
-    /// completion and drop is recorded and traced as if it happened
-    /// here, and the counters, cache and tuner totals and device list
-    /// add to this ledger's.
-    pub fn absorb(&mut self, requests: &[Request], out: ServeResult) {
-        let by_id: HashMap<u64, &Request> = requests.iter().map(|r| (r.id, r)).collect();
-        for c in out.completions {
-            self.served(by_id[&c.id].tenant, c);
-        }
-        for d in out.dropped {
-            self.drop([by_id[&d.id]], d.reason, d.ts_ms);
-        }
-        let rep = out.report;
-        self.retries += rep.retries;
-        self.failovers += rep.failovers;
-        self.plan_fallbacks += rep.plan_fallbacks;
-        self.device_evictions += rep.device_evictions;
-        self.batches += rep.batches;
-        self.batched_requests += rep.batched_requests;
-        self.cache.hits += rep.cache.hits;
-        self.cache.misses += rep.cache.misses;
-        self.cache.evictions += rep.cache.evictions;
-        self.tune_explores += rep.tune_explores;
-        self.tune_promotes += rep.tune_promotes;
-        self.devices.extend(rep.devices);
     }
 
     /// Drops recorded for `reason`.

@@ -13,8 +13,8 @@
 //!
 //! What lives here versus in the `shard` crate: this module is the
 //! schedule coercion; the `shard` crate owns the execution and the
-//! serving policy around it (the split cache, consistent-hash routing,
-//! global admission, communication charges, trace emission).
+//! serving policy around it (the split cache, global admission,
+//! communication charges, home-shard labels, trace emission).
 
 use loops::heuristic::Heuristic;
 use loops::schedule::ScheduleKind;

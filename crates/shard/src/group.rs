@@ -1,31 +1,23 @@
-//! A simulated shard group: N nodes joined by an interconnect, each
-//! standing in for a device pool with its own serving runtime.
+//! A simulated shard group: N nodes joined by an interconnect.
 //!
-//! Two serving modes, matching the two ways a request can relate to the
-//! partition:
+//! [`ShardGroup::serve_split`] splits every request's matrix across
+//! *all* shards by a [`ShardPlan`]; each shard runs [`spmv_rows`] over
+//! its row span of the request's own matrix, and the group pays a
+//! bulk-synchronous halo-exchange + merge charge per request. Results
+//! are bitwise identical to the single-shard path (see
+//! [`runtime::decomposable`]). [`ShardGroup::pagerank`] runs the same
+//! split execution as its SpMV step. Both launch kernels directly, the
+//! path `bench::node` runs too.
 //!
-//! * [`ShardGroup::serve_split`] — every request's matrix is split
-//!   across *all* shards by a [`ShardPlan`]; each shard runs
-//!   [`spmv_rows`] over its row span of the request's own matrix, and
-//!   the group pays a bulk-synchronous halo-exchange + merge charge per
-//!   request. Results are bitwise identical to the single-shard path
-//!   (see [`runtime::decomposable`]).
-//! * [`ShardGroup::serve_routed`] — whole requests are routed to their
-//!   tenant's home shard by the consistent-hash [`HashRing`]; each
-//!   shard's runtime serves its slice of the stream with its own plan
-//!   cache, batcher, and autotuner. No communication charge — tenants
-//!   are independent — at the cost of per-shard load imbalance.
+//! Every request outcome is recorded in a [`Ledger`], the record the
+//! runtime serves through, so admission, drops, tenant samples and the
+//! report are the runtime's own. The consistent-hash [`HashRing`] only
+//! labels: it names each request's home shard, the `device` of its
+//! completion and the shard of its route, reject and merge events.
 //!
-//! Both modes record every request outcome in a [`Ledger`], the record
-//! the runtime serves through, so admission, drops, tenant samples and
-//! the report are the runtime's own. The shard runtimes serve routed
-//! mode only: split execution and [`ShardGroup::pagerank`] launch
-//! kernels directly, the path `bench::node` runs too.
-//!
-//! The split path is a *global* data-parallel execution (strong
-//! scaling, communication-bound); the routed path is *tenant*
-//! parallelism (throughput scaling, balance-bound). `shard_bench`
-//! sweeps split mode against shard count.
+//! Split execution is a *global* data-parallel execution (strong
+//! scaling, communication-bound); `shard_bench` sweeps it against shard
+//! count.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -36,7 +28,7 @@ use kernels::spmv::{spmv_rows, DEFAULT_BLOCK};
 use loops::schedule::ScheduleKind;
 use runtime::cache::Lru;
 use runtime::{
-    pinned_schedule, Completion, DeviceReport, DropReason, Ledger, Request, Runtime, RuntimeConfig,
+    pinned_schedule, Completion, DeviceReport, DropReason, Ledger, Request, RuntimeConfig,
     ServeResult,
 };
 use simt::exchange::halo_exchange;
@@ -59,10 +51,11 @@ pub struct ShardGroupConfig {
     pub shards: usize,
     /// How split-mode matrices are partitioned across shards.
     pub strategy: ShardStrategy,
-    /// Per-shard runtime configuration: all of it applies to routed
-    /// mode. Split mode reads `queue_depth` and `policy` (the global
-    /// admission window), `deadline_ms`, `keep_results`, and
-    /// `plan_cache_capacity` (the bound of the split cache).
+    /// Serving policy. Split mode reads five fields: `queue_depth` and
+    /// `policy` (the global admission window), `deadline_ms`,
+    /// `keep_results`, and `plan_cache_capacity` (the bound of the split
+    /// cache). The rest, `host_backend` included, are unread: split
+    /// launches run on the ambient host backend.
     pub runtime: RuntimeConfig,
     /// Inter-shard link bandwidth per direction, GB/s.
     pub link_bw_gbs: f64,
@@ -157,14 +150,12 @@ pub struct ShardPageRank {
     pub comm_ms: f64,
 }
 
-/// N shard runtimes plus the ring, link model, and split cache that tie
-/// them into one serving surface.
+/// N shards joined by a link model, with the split cache that cuts each
+/// matrix once and the ring that names each tenant's home shard.
 #[derive(Debug)]
 pub struct ShardGroup {
     cfg: ShardGroupConfig,
     ring: HashRing,
-    /// The shards' runtimes, which serve routed mode.
-    shards: Vec<Runtime>,
     link: MultiGpuSpec,
     /// Split cuts keyed by the source's structure id: equal ids mean
     /// equal structure. An [`Lru`] of `plan_cache_capacity` entries,
@@ -174,16 +165,12 @@ pub struct ShardGroup {
 }
 
 impl ShardGroup {
-    /// Build a group of `cfg.shards` identical runtimes over `spec`
-    /// devices.
+    /// Build a group of `cfg.shards` identical `spec` devices.
     ///
     /// # Panics
     /// If `cfg.shards` is zero.
     pub fn new(spec: GpuSpec, cfg: ShardGroupConfig) -> Self {
         assert!(cfg.shards > 0, "need at least one shard");
-        let shards = (0..cfg.shards)
-            .map(|_| Runtime::new(spec.clone(), cfg.runtime))
-            .collect();
         let link = MultiGpuSpec {
             device: spec,
             num_devices: cfg.shards as u32,
@@ -195,7 +182,6 @@ impl ShardGroup {
             splits: Lru::new(cfg.runtime.plan_cache_capacity),
             cfg,
             ring,
-            shards,
             link,
             sink: None,
         }
@@ -203,13 +189,7 @@ impl ShardGroup {
 
     /// Shards in the group.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The routing ring (read-only; membership is fixed at
-    /// construction).
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
+        self.cfg.shards
     }
 
     /// Attach a trace sink; shard milestones
@@ -245,7 +225,7 @@ impl ShardGroup {
         }
         let entry = Arc::new(SplitEntry::new(
             a,
-            self.shards.len(),
+            self.cfg.shards,
             self.cfg.strategy,
             &self.link,
         ));
@@ -260,13 +240,16 @@ impl ShardGroup {
     /// serving on one shard (the root `shard_oracle` tests assert it).
     ///
     /// Requests are taken in arrival order, ties by id, as
-    /// [`Runtime::serve`] takes them. Global admission applies the
-    /// runtime window ([`RuntimeConfig::queue_depth`] and
-    /// [`RuntimeConfig::policy`]) *before* routing; per-request
-    /// deadlines ([`RuntimeConfig::deadline_ms`]) are honored against
-    /// the start time. The report's cache counters and each
-    /// completion's `cache_hit` are the split cache's: one lookup per
-    /// request that starts.
+    /// [`Runtime::serve`](runtime::Runtime::serve) takes them. Global
+    /// admission applies the runtime window
+    /// ([`RuntimeConfig::queue_depth`] and [`RuntimeConfig::policy`])
+    /// *before* routing; per-request deadlines
+    /// ([`RuntimeConfig::deadline_ms`]) are honored against the start
+    /// time. Each completion's `device` is its request's home shard,
+    /// which also labels its route, reject and merge events. The
+    /// report's cache counters and each completion's `cache_hit` are the
+    /// split cache's: one lookup per request that starts. A shard's
+    /// `jobs` counts the served requests whose span on it was non-empty.
     pub fn serve_split(&mut self, requests: &[Request]) -> simt::Result<ServeResult> {
         let mut order: Vec<&Request> = requests.iter().collect();
         order.sort_by(|a, b| {
@@ -281,6 +264,7 @@ impl ShardGroup {
         // The split path is bulk-synchronous: one request occupies the
         // whole group at a time, so completion times never decrease.
         let mut busy_until = 0.0f64;
+        let mut jobs = vec![0usize; self.cfg.shards];
 
         for r in order {
             let home = self.home(r);
@@ -302,7 +286,7 @@ impl ShardGroup {
             let (y, critical_ms) = split.spmv(&self.link.device, &r.matrix, &r.x)?;
             let end = start + critical_ms + split.comm_ms;
 
-            if self.shards.len() > 1 {
+            if self.cfg.shards > 1 {
                 ledger.shard.halo_bytes += split.total_halo;
                 self.emit(
                     split.bounding_shard,
@@ -314,6 +298,10 @@ impl ShardGroup {
             ledger.shard.merges += 1;
             ledger.shard.comm_ms += split.comm_ms;
             self.emit(home, ShardPhase::Merge, end, 4.0 * y.len() as f64);
+            // An empty span launches nothing.
+            for (n, rows) in jobs.iter_mut().zip(&split.spans) {
+                *n += usize::from(!rows.is_empty());
+            }
 
             ledger.served(
                 r.tenant,
@@ -339,48 +327,17 @@ impl ShardGroup {
         ledger.cache.hits = after.hits - cache_before.hits;
         ledger.cache.misses = after.misses - cache_before.misses;
         ledger.cache.evictions = after.evictions - cache_before.evictions;
-        // Every shard takes part in every served request.
-        ledger.devices = (0..self.shards.len())
-            .map(|device| DeviceReport {
+        ledger.devices = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(device, jobs)| DeviceReport {
                 device,
-                jobs: ledger.shard.merges,
+                jobs,
                 sm_occupancy: 0.0,
                 makespan_ms: busy_until,
                 faults: Default::default(),
             })
             .collect();
-        Ok(ledger.finish(requests.len()))
-    }
-
-    /// Serve a request stream in **routed mode**: the ring assigns each
-    /// request's tenant a home shard, and each shard's runtime serves
-    /// its slice independently — shard-local plan caches, batchers, and
-    /// autotuners all engage. Completions carry group-global device
-    /// indices (`shard · devices_per_shard + local`).
-    pub fn serve_routed(&mut self, requests: &[Request]) -> simt::Result<ServeResult> {
-        let mut per_shard: Vec<Vec<Request>> = vec![Vec::new(); self.shards.len()];
-        for r in requests {
-            let home = self.home(r);
-            self.emit(home, ShardPhase::Route, r.arrival_ms, r.id as f64);
-            per_shard[home as usize].push(r.clone());
-        }
-
-        let mut ledger = Ledger::new(self.sink.clone());
-        for (s, stream) in per_shard.iter().enumerate() {
-            if stream.is_empty() {
-                continue;
-            }
-            let mut out = self.shards[s].serve(stream)?;
-            let offset = s * self.cfg.runtime.devices;
-            for c in &mut out.completions {
-                c.device += offset;
-            }
-            for d in &mut out.report.devices {
-                d.device += offset;
-            }
-            ledger.absorb(stream, out);
-        }
-        ledger.shard.routed = requests.len();
         Ok(ledger.finish(requests.len()))
     }
 
@@ -394,7 +351,7 @@ impl ShardGroup {
         let n = g.num_vertices();
         assert!(n > 0, "graph must have vertices");
         let mt = normalized_transpose(g);
-        let split = SplitEntry::new(&mt, self.shards.len(), self.cfg.strategy, &self.link);
+        let split = SplitEntry::new(&mt, self.cfg.shards, self.cfg.strategy, &self.link);
 
         let mut compute_ms = 0.0f64;
         let mut comm_ms = 0.0f64;
@@ -418,7 +375,7 @@ impl ShardGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use runtime::{zipf_workload, QueuePolicy, RuntimeReport, ShardCounters, WorkloadSpec};
+    use runtime::{zipf_workload, QueuePolicy, Runtime, WorkloadSpec};
     use trace::{RequestPhase, TenantOutcome};
 
     fn corpus() -> Vec<Arc<Csr<f32>>> {
@@ -548,6 +505,55 @@ mod tests {
             .count();
         assert_eq!(launches, 3, "one launch per non-empty span");
         assert_eq!(bits(&out, 0), bits(&group(1).serve_split(&req).unwrap(), 0));
+        // A shard books a job only for a span it launched.
+        let jobs: Vec<usize> = out.report.devices.iter().map(|d| d.jobs).collect();
+        assert_eq!(jobs.iter().sum::<usize>(), 3, "{jobs:?}");
+        let cut = grp.splits.get(&a.structure_id()).expect("cut cached");
+        for (s, rows) in cut.spans.iter().enumerate() {
+            assert_eq!(jobs[s], usize::from(!rows.is_empty()), "shard {s}: {jobs:?}");
+        }
+    }
+
+    #[test]
+    fn split_completions_carry_their_tenants_home_shard() {
+        let reqs = workload(120);
+        let rec = Arc::new(trace::Recorder::with_capacity(4_096));
+        let mut g = group(4);
+        g.set_trace_sink(rec.clone());
+        let out = g.serve_split(&reqs).unwrap();
+        assert_eq!(out.completions.len(), reqs.len());
+        let events = rec.snapshot().events;
+        let shard_events = |want: ShardPhase| -> Vec<(u32, f64, f64)> {
+            events
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Shard {
+                        shard,
+                        phase,
+                        ts_ms,
+                        value,
+                    } if phase == want => Some((shard, ts_ms, value)),
+                    _ => None,
+                })
+                .collect()
+        };
+        // A route event's value is its request's id; a merge event is
+        // stamped with its request's end time.
+        let (routes, merges) = (shard_events(ShardPhase::Route), shard_events(ShardPhase::Merge));
+        let mut homes = Vec::new();
+        for c in &out.completions {
+            let tenant = reqs.iter().find(|r| r.id == c.id).expect("request").tenant;
+            let home = g.ring.route(u64::from(tenant));
+            assert_eq!(c.device, home as usize, "request {}", c.id);
+            let route = routes.iter().find(|e| e.2 == c.id as f64);
+            assert_eq!(route.map(|e| e.0), Some(home), "request {}: route", c.id);
+            let merge = merges.iter().find(|e| e.1 == c.end_ms);
+            assert_eq!(merge.map(|e| e.0), Some(home), "request {}: merge", c.id);
+            homes.push(home);
+        }
+        homes.sort_unstable();
+        homes.dedup();
+        assert!(homes.len() > 1, "every tenant homed on shard {homes:?}");
     }
 
     #[test]
@@ -686,107 +692,6 @@ mod tests {
                 assert_eq!(sample, Some((want_outcome, d.ts_ms)), "request {}", d.id);
             }
         }
-    }
-
-    #[test]
-    fn routed_report_is_the_fold_of_per_shard_runtimes() {
-        // The oracle: split the stream with the group's ring, serve each
-        // slice on a fresh runtime of the same config, and fold.
-        let reqs = workload(120);
-        let cfg = ShardGroupConfig::new(4);
-        let mut g = ShardGroup::new(GpuSpec::test_tiny(), cfg.clone());
-        let out = g.serve_routed(&reqs).unwrap();
-        let cfg = cfg.runtime;
-        let mut slices: Vec<Vec<Request>> = vec![Vec::new(); 4];
-        for r in &reqs {
-            slices[g.ring().route(u64::from(r.tenant)) as usize].push(r.clone());
-        }
-        let mut want = RuntimeReport {
-            submitted: 0,
-            served: 0,
-            rejected: 0,
-            deadline_missed: 0,
-            failed: 0,
-            retries: 0,
-            failovers: 0,
-            plan_fallbacks: 0,
-            device_evictions: 0,
-            batches: 0,
-            batched_requests: 0,
-            cache: Default::default(),
-            tune_explores: 0,
-            tune_promotes: 0,
-            latency_p50_ms: 0.0,
-            latency_p99_ms: 0.0,
-            latency_mean_ms: 0.0,
-            makespan_ms: 0.0,
-            shard: ShardCounters {
-                routed: reqs.len(),
-                ..ShardCounters::default()
-            },
-            devices: Vec::new(),
-        };
-        let mut latencies = Vec::new();
-        for (s, slice) in slices.iter().enumerate() {
-            if slice.is_empty() {
-                continue;
-            }
-            let slice_out = Runtime::new(GpuSpec::test_tiny(), cfg)
-                .serve(slice)
-                .unwrap();
-            latencies.extend(slice_out.completions.iter().map(Completion::latency_ms));
-            let rep = slice_out.report;
-            want.submitted += rep.submitted;
-            want.served += rep.served;
-            want.rejected += rep.rejected;
-            want.deadline_missed += rep.deadline_missed;
-            want.failed += rep.failed;
-            want.retries += rep.retries;
-            want.failovers += rep.failovers;
-            want.plan_fallbacks += rep.plan_fallbacks;
-            want.device_evictions += rep.device_evictions;
-            want.batches += rep.batches;
-            want.batched_requests += rep.batched_requests;
-            want.cache.hits += rep.cache.hits;
-            want.cache.misses += rep.cache.misses;
-            want.cache.evictions += rep.cache.evictions;
-            want.tune_explores += rep.tune_explores;
-            want.tune_promotes += rep.tune_promotes;
-            want.makespan_ms = want.makespan_ms.max(rep.makespan_ms);
-            want.devices.extend(rep.devices.into_iter().map(|mut d| {
-                d.device += s * cfg.devices;
-                d
-            }));
-        }
-        // Percentiles do not compose: the group's are the merged
-        // sample's, by nearest rank.
-        latencies.sort_by(f64::total_cmp);
-        let rank = |p: f64| latencies[((p * latencies.len() as f64).ceil() as usize).max(1) - 1];
-        want.latency_p50_ms = rank(0.50);
-        want.latency_p99_ms = rank(0.99);
-        want.latency_mean_ms = latencies.iter().sum::<f64>() / latencies.len() as f64;
-        assert_eq!(latencies.len(), out.completions.len());
-        assert_eq!(out.report, want);
-        assert!(out.report.reconciles());
-    }
-
-    #[test]
-    fn routed_serving_reconciles_and_spreads_load() {
-        let reqs = workload(120);
-        let out = group(4).serve_routed(&reqs).unwrap();
-        assert!(out.report.reconciles());
-        assert_eq!(out.report.shard.routed, 120);
-        assert_eq!(out.report.submitted, 120);
-        assert_eq!(out.report.served + out.report.rejected, 120);
-        // Group-global device ids must span more than one shard.
-        let mut shards_hit: Vec<usize> = out
-            .completions
-            .iter()
-            .map(|c| c.device / RuntimeConfig::default().devices.max(1))
-            .collect();
-        shards_hit.sort_unstable();
-        shards_hit.dedup();
-        assert!(shards_hit.len() > 1, "routing never left one shard");
     }
 
     #[test]

@@ -12,20 +12,20 @@
 //!   row×nnz cuts of a CSR matrix into contiguous row spans with halo
 //!   (ghost-column) metadata: which input-vector entries each shard
 //!   needs but does not own.
-//! * **Routing** ([`HashRing`]) — consistent hashing of tenants onto
-//!   shards with virtual nodes: deterministic, and adding a shard
-//!   remaps only ~`1/n` of tenants.
-//! * **Serving** ([`ShardGroup`]) — split mode (every request
+//! * **Home labels** ([`HashRing`]) — consistent hashing of tenants
+//!   onto shards with virtual nodes, deterministic per seed. It names
+//!   each request's home shard for its completion and trace events;
+//!   the request itself runs on every shard.
+//! * **Serving** ([`ShardGroup`]) — split execution: every request runs
 //!   data-parallel across all shards, each running
 //!   `kernels::spmv::spmv_rows` over its row span of the request's own
-//!   matrix, paying a bulk-synchronous halo-exchange + merge charge)
-//!   and routed mode (whole requests to their tenant's home shard's
-//!   runtime, no communication). Split-mode results are **bitwise
-//!   identical** to the single-shard path at any shard count, because
-//!   the partition is row-aligned (merging is concatenation) and the
-//!   schedule is pinned to a flat-span one
+//!   matrix, paying a bulk-synchronous halo-exchange + merge charge.
+//!   Results are **bitwise identical** to the single-shard path at any
+//!   shard count, because the partition is row-aligned (merging is
+//!   concatenation) and the schedule is pinned to a flat-span one
 //!   (`runtime::split::pinned_schedule`) whose per-row fold order is
-//!   position-independent.
+//!   position-independent. [`ShardGroup::pagerank`] runs the same
+//!   split execution as its SpMV step.
 //!
 //! `shard_bench` sweeps shard count × corpus family and writes the
 //! scaling curve — including where the communication charge overtakes

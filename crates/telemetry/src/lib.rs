@@ -19,9 +19,9 @@
 //!   path stays the one-branch `Option` check that PR 2 proved bitwise
 //!   invisible.
 //! * [`slo`] — per-tenant deadline-miss budgets with window burn
-//!   rates, plus cache-collapse / queue-growth / shard-imbalance
-//!   detectors, each raising a typed [`slo::Alert`] that every exporter
-//!   reads from the snapshot.
+//!   rates, plus cache-collapse and queue-growth detectors, each
+//!   raising a typed [`slo::Alert`] that every exporter reads from the
+//!   snapshot.
 //! * [`export`] + [`dashboard`] — Prometheus text exposition, the
 //!   `telemetry_serve.csv` time series, and the operator dashboard.
 //!

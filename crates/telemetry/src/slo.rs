@@ -1,7 +1,7 @@
 //! The SLO engine: deterministic detectors evaluated over complete
 //! windows of a [`MetricsRegistry`].
 //!
-//! Four detectors, each a pure function of the registry:
+//! Three detectors, each a pure function of the registry:
 //!
 //! * **burn rate** — each tenant has a deadline-miss *budget* (the
 //!   fraction of its requests per window allowed to miss). The burn
@@ -13,8 +13,6 @@
 //! * **queue growth** — a window's peak queue depth at least
 //!   `queue_growth_factor` × the previous window's peak (with an
 //!   absolute floor so an idle system's 0 → 2 wiggle never fires).
-//! * **shard imbalance** — windowed routed-request skew
-//!   (`max / mean` across shards) beyond the policy bound.
 //!
 //! Evaluation iterates windows in ascending order and detectors in a
 //! fixed order, so the alert list is deterministic and two same-seed
@@ -37,8 +35,6 @@ pub struct SloPolicy {
     pub queue_growth_factor: f64,
     /// Peaks below this absolute depth never fire the growth detector.
     pub queue_depth_floor: f64,
-    /// Alert when windowed routed-load skew (max/mean) reaches this.
-    pub max_shard_skew: f64,
     /// Windows with fewer samples than this are never judged — rate
     /// estimates over a handful of requests are noise.
     pub min_window_samples: u64,
@@ -52,7 +48,6 @@ impl Default for SloPolicy {
             min_cache_hit_rate: 0.5,
             queue_growth_factor: 4.0,
             queue_depth_floor: 8.0,
-            max_shard_skew: 2.0,
             min_window_samples: 8,
         }
     }
@@ -68,8 +63,6 @@ pub enum AlertKind {
     CacheHitCollapse,
     /// The in-flight queue's window peak grew past the policy bound.
     QueueGrowth,
-    /// Routed load skewed across shards beyond the policy bound.
-    ShardImbalance,
 }
 
 impl AlertKind {
@@ -79,7 +72,6 @@ impl AlertKind {
             Self::SloBurnRate => "slo_burn_rate",
             Self::CacheHitCollapse => "cache_hit_collapse",
             Self::QueueGrowth => "queue_growth",
-            Self::ShardImbalance => "shard_imbalance",
         }
     }
 }
@@ -112,7 +104,7 @@ fn tenant_of(label_set: &str) -> Option<u32> {
 }
 
 /// Run every detector over every complete window. Deterministic: output
-/// order is (window, detector, tenant/shard) ascending.
+/// order is (window, detector, tenant) ascending.
 pub fn evaluate(reg: &MetricsRegistry, policy: &SloPolicy) -> Vec<Alert> {
     let Some(max_window) = reg.max_window() else {
         return Vec::new();
@@ -129,11 +121,6 @@ pub fn evaluate(reg: &MetricsRegistry, policy: &SloPolicy) -> Vec<Alert> {
         v.sort_unstable();
         v
     };
-    let shard_labels: Vec<String> = reg
-        .counter_label_sets("shard_routed_total")
-        .into_iter()
-        .map(str::to_string)
-        .collect();
 
     for w in 0..=max_window {
         // 1. Per-tenant burn rate.
@@ -194,30 +181,6 @@ pub fn evaluate(reg: &MetricsRegistry, policy: &SloPolicy) -> Vec<Alert> {
                     value: peak,
                     threshold: policy.queue_growth_factor * prev,
                 });
-            }
-        }
-
-        // 4. Shard imbalance.
-        if shard_labels.len() >= 2 {
-            let routed: Vec<f64> = shard_labels
-                .iter()
-                .map(|l| reg.counter_window("shard_routed_total", l, w))
-                .collect();
-            let total: f64 = routed.iter().sum();
-            if (total as u64) >= policy.min_window_samples {
-                let mean = total / routed.len() as f64;
-                let max = routed.iter().cloned().fold(0.0, f64::max);
-                let skew = max / mean;
-                if skew >= policy.max_shard_skew {
-                    alerts.push(Alert {
-                        kind: AlertKind::ShardImbalance,
-                        tenant: u32::MAX,
-                        window: w,
-                        ts_ms: window_end(w),
-                        value: skew,
-                        threshold: policy.max_shard_skew,
-                    });
-                }
             }
         }
     }
@@ -295,24 +258,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_imbalance_uses_max_over_mean() {
-        let mut reg = MetricsRegistry::new(10.0);
-        for (shard, n) in [(0u32, 30.0), (1, 5.0), (2, 1.0)] {
-            let l = labels(&[("shard", &shard.to_string())]);
-            reg.counter_add("shard_routed_total", &l, 5.0, n);
-        }
-        let alerts = evaluate(&reg, &SloPolicy::default());
-        assert_eq!(alerts.len(), 1);
-        assert_eq!(alerts[0].kind, AlertKind::ShardImbalance);
-        // 30 / (36/3) = 2.5
-        assert!((alerts[0].value - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn alert_names_are_stable() {
         assert_eq!(AlertKind::SloBurnRate.name(), "slo_burn_rate");
         assert_eq!(AlertKind::CacheHitCollapse.name(), "cache_hit_collapse");
         assert_eq!(AlertKind::QueueGrowth.name(), "queue_growth");
-        assert_eq!(AlertKind::ShardImbalance.name(), "shard_imbalance");
     }
 }

@@ -112,8 +112,8 @@ impl TunePhase {
 /// Milestones of one sharded-serving operation (see the `shard` crate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPhase {
-    /// A tenant's request was routed to its home shard by the
-    /// consistent-hash ring.
+    /// Global admission passed a request, labelled with its tenant's
+    /// home shard on the consistent-hash ring.
     Route,
     /// Ghost entries of the input vector were fetched from peer shards
     /// before a split execution.
@@ -309,13 +309,13 @@ pub enum TraceEvent {
     /// A sharded-serving milestone on one shard.
     Shard {
         /// Shard index within the group (the home shard for `Route`,
-        /// the bounding shard for `HaloExchange`/`Merge`).
+        /// `Reject` and `Merge`, the bounding shard for `HaloExchange`).
         shard: u32,
         /// Which milestone.
         phase: ShardPhase,
         /// When it happened on the group's serving clock.
         ts_ms: f64,
-        /// Phase-specific payload: the tenant id for `Route`/`Reject`,
+        /// Phase-specific payload: the request id for `Route`/`Reject`,
         /// the ghost bytes moved for `HaloExchange`, and the merged
         /// result bytes for `Merge`.
         value: f64,

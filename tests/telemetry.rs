@@ -2,10 +2,10 @@
 //!
 //! The windowed-metrics subsystem rides the same `TraceSink` gate as
 //! the Chrome-trace recorder, so the whole contract reduces to: a run
-//! with a collector attached is **bitwise identical** to the same run
-//! without one — completions, reports, and fault outcomes included —
-//! while the collector's own exports are byte-identical across
-//! repeated runs.
+//! with a collector attached, to a runtime or to a shard group, is
+//! **bitwise identical** to the same run without one — completions,
+//! reports, and fault outcomes included — while the collector's own
+//! exports are byte-identical across repeated runs.
 
 use std::sync::Arc;
 
@@ -13,9 +13,10 @@ use bench::telemetry::{
     baseline_json, collector_config, compare, gate_metrics, parse_baseline, run_instrumented,
     run_uninstrumented, serve_matrices, serve_requests, DEFAULT_TOLERANCE,
 };
-use runtime::{Completion, Runtime, RuntimeConfig, ServeResult};
+use runtime::{zipf_workload, Completion, Runtime, RuntimeConfig, ServeResult, WorkloadSpec};
+use shard::{ShardGroup, ShardGroupConfig};
 use simt::{FaultPlan, GpuSpec};
-use telemetry::{TelemetryCollector, TelemetrySnapshot};
+use telemetry::{TelemetryCollector, TelemetryConfig, TelemetrySnapshot};
 
 /// Everything observable about a serve outcome, rendered bit-faithfully
 /// (f64 Debug is shortest-roundtrip, so equal strings ⇒ equal bits).
@@ -76,6 +77,58 @@ fn chaos_serve(instrumented: bool) -> (ServeResult, Option<TelemetrySnapshot>) {
     }
     let out = rt.serve(&requests).expect("chaos serve");
     (out, collector.map(|c| c.finish()))
+}
+
+/// A 4-shard split serve of a Zipf(1.6) stream over eight tenants: most
+/// requests share a few home shards, yet every split request runs on
+/// every shard.
+fn skewed_split_serve(instrumented: bool) -> (ServeResult, Option<TelemetrySnapshot>) {
+    let matrices: Vec<_> = (0..8)
+        .map(|i| Arc::new(sparse::gen::powerlaw(800, 800, 8_000, 1.8, 40 + i)))
+        .collect();
+    let requests = zipf_workload(
+        &matrices,
+        &WorkloadSpec {
+            requests: 400,
+            zipf_s: 1.6,
+            mean_interarrival_ms: 0.05,
+            seed: 7,
+        },
+    );
+    let mut cfg = ShardGroupConfig::new(4);
+    cfg.runtime.keep_results = true;
+    let mut group = ShardGroup::new(GpuSpec::test_tiny(), cfg);
+    let collector =
+        instrumented.then(|| Arc::new(TelemetryCollector::new(TelemetryConfig::default())));
+    if let Some(c) = &collector {
+        group.set_trace_sink(c.clone());
+    }
+    let out = group.serve_split(&requests).expect("split serve");
+    (out, collector.map(|c| c.finish()))
+}
+
+#[test]
+fn instrumentation_is_bitwise_invisible_on_split_serve() {
+    let (bare, _) = skewed_split_serve(false);
+    let (observed, snap) = skewed_split_serve(true);
+    assert_eq!(
+        fingerprint(&bare),
+        fingerprint(&observed),
+        "attaching the telemetry collector must not change a split serve"
+    );
+    let snap = snap.unwrap();
+    let routed: f64 = snap
+        .registry
+        .counter_label_sets("shard_routed_total")
+        .iter()
+        .map(|l| snap.registry.counter_total("shard_routed_total", l))
+        .sum();
+    assert_eq!(routed, 400.0, "every split request reaches the collector");
+    assert!(
+        snap.alerts.is_empty(),
+        "a healthy split serve must raise no alert, got {:?}",
+        snap.alerts
+    );
 }
 
 #[test]
