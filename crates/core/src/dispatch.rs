@@ -346,8 +346,9 @@ pub struct Dispatch {
 /// tile set's shape, not on the input values: the schedule choice, the
 /// block size, and any precomputed setup artifacts —
 ///
-/// * **merge-path**: the per-thread partition table the cold kernel
-///   otherwise derives with two in-kernel diagonal searches per thread;
+/// * **merge-path**: the per-thread partition table, which a cold launch
+///   walks again before it runs and is charged for as two in-kernel
+///   diagonal searches per thread;
 /// * **LRB**: the log₂ binning of tiles ([`LrbPlan`]), which the cold
 ///   path pays two extra launches to build.
 ///
@@ -433,19 +434,19 @@ pub struct BalancedLaunch<'a, W> {
     model: &'a CostModel,
     work: &'a W,
     block_dim: u32,
-    merge_items: usize,
 }
 
 impl<'a, W: TileSet> BalancedLaunch<'a, W> {
     /// An executor over `work` with the default block size
-    /// ([`DEFAULT_BLOCK`], clamped to the device) and merge-path tuning.
+    /// ([`DEFAULT_BLOCK`], clamped to the device). Merge-path always runs
+    /// [`MERGE_ITEMS_PER_THREAD`] items per thread, the value
+    /// [`Self::prepare`] partitions by.
     pub fn new(spec: &'a GpuSpec, model: &'a CostModel, work: &'a W) -> Self {
         Self {
             spec,
             model,
             work,
             block_dim: DEFAULT_BLOCK.min(spec.max_threads_per_block),
-            merge_items: MERGE_ITEMS_PER_THREAD,
         }
     }
 
@@ -454,13 +455,6 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
     /// call site can launch an illegal block.
     pub fn block_dim(mut self, block_dim: u32) -> Self {
         self.block_dim = block_dim.min(self.spec.max_threads_per_block);
-        self
-    }
-
-    /// Set merge-path items per thread (default
-    /// [`MERGE_ITEMS_PER_THREAD`]).
-    pub fn merge_items(mut self, items: usize) -> Self {
-        self.merge_items = items;
         self
     }
 
@@ -495,7 +489,7 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
         };
         match kind {
             ScheduleKind::MergePath => {
-                let sched = MergePathSchedule::new(self.work, self.merge_items);
+                let sched = MergePathSchedule::new(self.work, MERGE_ITEMS_PER_THREAD);
                 plan.merge_starts = Some(sched.partition());
             }
             ScheduleKind::Lrb => {
@@ -550,23 +544,36 @@ impl<'a, W: TileSet> BalancedLaunch<'a, W> {
         })
     }
 
-    /// §5.2.1: merge-path, optionally driven by a cached partition table.
+    /// §5.2.1: merge-path. A plan's partition table is the warm path:
+    /// each thread loads its span bounds
+    /// ([`MergePathSchedule::spans_prepartitioned`]). A cold launch walks
+    /// the table once, here on the calling thread, and its threads read
+    /// their bounds from it charged as the two in-kernel diagonal
+    /// searches ([`MergePathSchedule::spans_walked`]), so every simulated
+    /// number is the searched launch's.
     fn merge_path<E: TileExec>(&self, exec: &E, starts: Option<&[u32]>) -> simt::Result<Dispatch> {
-        let sched = MergePathSchedule::new(self.work, self.merge_items);
-        if let Some(s) = starts {
-            assert_eq!(
-                s.len(),
-                sched.num_threads() + 1,
-                "merge-path partition table does not match this matrix"
-            );
-        }
+        let sched = MergePathSchedule::new(self.work, MERGE_ITEMS_PER_THREAD);
+        let walked;
+        let (table, warm) = match starts {
+            Some(s) => {
+                assert_eq!(
+                    s.len(),
+                    sched.num_threads() + 1,
+                    "merge-path partition table does not match this matrix"
+                );
+                (s, true)
+            }
+            None => {
+                walked = sched.partition();
+                (&walked[..], false)
+            }
+        };
         let cfg = sched.launch_config(self.block_dim);
         let report = simt::launch_threads_with_model(self.spec, self.model, cfg, |t| {
-            // With a precomputed partition table each thread loads its
-            // span bounds instead of running two diagonal searches.
-            let spans = match starts {
-                Some(s) => sched.spans_prepartitioned(t, s),
-                None => sched.spans(t),
+            let spans = if warm {
+                sched.spans_prepartitioned(t, table)
+            } else {
+                sched.spans_walked(t, table)
             };
             for span in spans {
                 exec.span(t, &span);

@@ -70,7 +70,11 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
     /// **Setup** (paper step 1): diagonal-search this thread's start and
     /// end coordinates, charging the two binary searches; then expose the
     /// share as an iterator of [`TileSpan`]s (paper step 2: "complete" and
-    /// "partial" tiles).
+    /// "partial" tiles). This is the code a GPU thread runs, and the
+    /// reference the engine's launches are tested against: a cold engine
+    /// launch runs [`Self::spans_walked`], the same coordinates and
+    /// charges read from a host-walked table, and a planned launch runs
+    /// [`Self::spans_prepartitioned`].
     pub fn spans<'l, 'm>(&self, lane: &'l LaneCtx<'m>) -> MergeSpans<'w, 'l, 'm, W> {
         let total = self.total_work();
         let d0 = (lane.global_thread_id() as usize * self.items_per_thread).min(total);
@@ -139,7 +143,9 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
     /// share is `starts[i] .. starts[i + 1]` — exactly what
     /// [`Self::spans`] finds with its two in-kernel diagonal searches. A
     /// serving runtime caches this table per matrix so repeated launches
-    /// skip the search.
+    /// skip the search ([`Self::spans_prepartitioned`]), and a cold
+    /// launch builds it once before its threads run
+    /// ([`Self::spans_walked`]).
     ///
     /// The table is built in one walk along the merge path, O(tiles +
     /// threads): the boundaries' diagonals increase, so each one's tile
@@ -152,7 +158,9 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
     /// set with more than `u32::MAX` tiles cannot be represented —
     /// rather than silently truncating the coordinate (which would make
     /// threads replay the wrong rows), this panics with the offending
-    /// value.
+    /// value. The dispatch engine builds this table for every cold
+    /// merge-path launch as well as for a prepared plan, so on such a
+    /// tile set the cold launch panics too.
     pub fn partition(&self) -> Vec<u32> {
         let (tiles, atoms) = (self.work.num_tiles(), self.work.num_atoms());
         let total = tiles + atoms;
@@ -177,11 +185,47 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
             .collect()
     }
 
-    /// [`Self::spans`] driven by a precomputed [`Self::partition`] table:
-    /// identical span coordinates (hence bitwise-identical kernel
+    /// [`Self::spans`] for a cold launch: the same coordinates, read from
+    /// a [`Self::partition`] table the host walked once before the
+    /// launch, and the same charges — the two diagonal searches'
+    /// [`CostModel::merge_setup`](simt::CostModel::merge_setup) and the
+    /// staged offset window — so the simulated launch is bitwise the
+    /// searched one while the host skips two searches per thread. The
+    /// charge lines copy `spans`' (which stays the device code Table 1
+    /// counts); a unit test pins them lane by lane.
+    pub fn spans_walked<'l, 'm>(
+        &self,
+        lane: &'l LaneCtx<'m>,
+        starts: &[u32],
+    ) -> MergeSpans<'w, 'l, 'm, W> {
+        let block_items = u64::from(lane.block_dim()) * self.items_per_thread as u64;
+        lane.charge(lane.model().merge_setup(block_items));
+        let tile_frac = self.work.num_tiles() as f64 / self.total_work().max(1) as f64;
+        let staged = (4.0 * self.items_per_thread as f64 * tile_frac).ceil() as u64;
+        lane.read_bytes(staged.max(4));
+        self.table_spans(lane, starts)
+    }
+
+    /// [`Self::spans`] driven by a plan's cached [`Self::partition`]
+    /// table: identical span coordinates (hence bitwise-identical kernel
     /// results), but the per-thread diagonal searches are replaced by two
     /// cached-table reads — the "skip setup on a plan-cache hit" path.
     pub fn spans_prepartitioned<'l, 'm>(
+        &self,
+        lane: &'l LaneCtx<'m>,
+        starts: &[u32],
+    ) -> MergeSpans<'w, 'l, 'm, W> {
+        // The block loads its contiguous slice of the table once,
+        // coalesced — amortized one 4-byte entry per thread — instead of
+        // staging an offset window and binary-searching it.
+        lane.read_bytes(4);
+        self.table_spans(lane, starts)
+    }
+
+    /// The span iterator of `lane`'s share, `starts[i] .. starts[i + 1]`
+    /// for thread `i` (threads past the table's end get the empty share
+    /// at its last boundary). Charges nothing.
+    fn table_spans<'l, 'm>(
         &self,
         lane: &'l LaneCtx<'m>,
         starts: &[u32],
@@ -190,10 +234,6 @@ impl<'w, W: TileSet> MergePathSchedule<'w, W> {
         let last = starts.len() - 1;
         let i0 = (lane.global_thread_id() as usize).min(last);
         let i1 = (i0 + 1).min(last);
-        // The block loads its contiguous slice of the table once,
-        // coalesced — amortized one 4-byte entry per thread — instead of
-        // staging an offset window and binary-searching it.
-        lane.read_bytes(4);
         let (t0, t1) = (starts[i0] as usize, starts[i1] as usize);
         let a0 = (i0 * self.items_per_thread).min(total) - t0;
         let a1 = (i1 * self.items_per_thread).min(total) - t1;
@@ -404,14 +444,10 @@ mod tests {
                 assert_eq!(*starts.last().unwrap(), w.num_tiles() as u32);
                 let spec = GpuSpec::test_tiny();
                 let cfg = sched.launch_config(8);
-                let collect = |pre: bool| {
+                let collect = |reader: Reader| {
                     let got = std::sync::Mutex::new(Vec::new());
                     simt::launch_threads(&spec, cfg, |t| {
-                        let spans: Vec<_> = if pre {
-                            sched.spans_prepartitioned(t, &starts).collect()
-                        } else {
-                            sched.spans(t).collect()
-                        };
+                        let spans: Vec<_> = reader.spans(&sched, t, &starts).collect();
                         got.lock().unwrap().push((t.global_thread_id(), spans));
                     })
                     .unwrap();
@@ -419,7 +455,49 @@ mod tests {
                     v.sort_by_key(|(tid, _)| *tid);
                     v
                 };
-                assert_eq!(collect(true), collect(false), "ipt={ipt}");
+                let searched = collect(Reader::Search);
+                assert_eq!(collect(Reader::Planned), searched, "ipt={ipt}");
+                assert_eq!(collect(Reader::Walked), searched, "ipt={ipt}");
+                // The walked reader's charges copy the search's: lane by
+                // lane, the same units (bits) and the same read bytes.
+                let charge = |k: u64, reader: Reader| {
+                    let units = std::sync::Mutex::new(0u64);
+                    let report = simt::launch_threads(&spec, cfg, |t| {
+                        if t.global_thread_id() == k {
+                            let _ = reader.spans(&sched, t, &starts);
+                            *units.lock().unwrap() = t.units().to_bits();
+                        }
+                    })
+                    .unwrap();
+                    (units.into_inner().unwrap(), report.mem.read_bytes)
+                };
+                for k in 0..cfg.grid_size() {
+                    let want = charge(k, Reader::Search);
+                    assert_eq!(charge(k, Reader::Walked), want, "ipt={ipt}, lane {k}");
+                }
+            }
+        }
+    }
+
+    /// The three ways a thread finds its merge-path share.
+    #[derive(Debug, Clone, Copy)]
+    enum Reader {
+        Search,
+        Walked,
+        Planned,
+    }
+
+    impl Reader {
+        fn spans<'w, 'l, 'm>(
+            self,
+            sched: &MergePathSchedule<'w, CountedTiles>,
+            lane: &'l LaneCtx<'m>,
+            starts: &[u32],
+        ) -> MergeSpans<'w, 'l, 'm, CountedTiles> {
+            match self {
+                Self::Search => sched.spans(lane),
+                Self::Walked => sched.spans_walked(lane, starts),
+                Self::Planned => sched.spans_prepartitioned(lane, starts),
             }
         }
     }

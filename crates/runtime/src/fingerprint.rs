@@ -4,12 +4,13 @@
 //! on the matrix's *row structure*: the schedule heuristic reads
 //! `rows`/`cols`/`nnz`, the merge-path partition reads the row offsets,
 //! and LRB bins rows by length. The fingerprint therefore combines the
-//! shape, the row-length distribution summary ([`RowStats`]), and an
-//! FNV-1a hash of the row-offset array. Two matrices with the same
-//! fingerprint get the same plan; any change to the row structure
-//! changes the fingerprint and invalidates the cached plan.
+//! shape, the row-length moments ([`RowMoments`]: longest row and
+//! coefficient of variation), and an FNV-1a hash of the row-offset
+//! array. Two matrices with the same fingerprint get the same plan; any
+//! change to the row structure changes the fingerprint and invalidates
+//! the cached plan.
 
-use sparse::stats::RowStats;
+use sparse::stats::RowMoments;
 use sparse::Csr;
 
 /// Cache key identifying a matrix's plan-relevant structure.
@@ -32,15 +33,15 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// Fingerprint a CSR matrix (O(rows)).
+    /// Fingerprint a CSR matrix: O(rows), without allocating.
     pub fn of(a: &Csr<f32>) -> Self {
-        let stats = RowStats::of(a);
+        let moments = RowMoments::of(a);
         Self {
             rows: a.rows(),
             cols: a.cols(),
             nnz: a.nnz(),
-            max_row: stats.max,
-            cv_milli: (stats.cv * 1e3).round() as u64,
+            max_row: moments.max,
+            cv_milli: (moments.cv * 1e3).round() as u64,
             pattern: fnv1a_usizes(a.row_offsets()),
         }
     }
@@ -96,5 +97,23 @@ mod tests {
         let d = Csr::from_triplets(3, 3, vec![(0u32, 0u32, 1.0f32), (2, 1, 1.0), (2, 2, 1.0)])
             .unwrap();
         assert_ne!(Fingerprint::of(&c), Fingerprint::of(&d));
+    }
+
+    #[test]
+    fn summary_fields_equal_the_full_row_statistics() {
+        let dense_row = (0..64u32).map(|c| (1u32, c, 1.0f32)).collect::<Vec<_>>();
+        for a in [
+            Csr::<f32>::empty(0, 0),
+            Csr::<f32>::empty(50, 40),
+            Csr::from_triplets(4, 64, dense_row).unwrap(),
+            sparse::gen::powerlaw(2_000, 2_000, 30_000, 1.8, 5),
+        ] {
+            let (fp, stats) = (Fingerprint::of(&a), sparse::stats::RowStats::of(&a));
+            let cv = RowMoments::of(&a).cv;
+            let shape = (a.rows(), a.cols(), a.nnz());
+            assert_eq!(fp.max_row, stats.max, "{shape:?}");
+            assert_eq!(fp.cv_milli, (stats.cv * 1e3).round() as u64, "{shape:?}");
+            assert_eq!(cv.to_bits(), stats.cv.to_bits(), "{shape:?}");
+        }
     }
 }

@@ -117,20 +117,30 @@ impl SplitEntry {
     /// One split SpMV of `a`, a matrix with the structure this cut was
     /// made from: [`spmv_rows`] under the pinned schedule over each
     /// non-empty span (an empty one launches nothing), the slices
-    /// concatenated. Returns `y` and the slowest shard's kernel time,
-    /// the compute half of the bulk-synchronous critical path. The
+    /// concatenated. Returns `y`, the slowest shard's kernel time (the
+    /// compute half of the bulk-synchronous critical path), and each
+    /// shard's SM busy time: the sum of its launch's
+    /// `timing.sm_times_ms`, 0 for a shard that launched nothing. The
     /// pinned schedule is flat-span, so `y` is bitwise the whole-matrix
     /// run's at any shard count.
-    fn spmv(&self, spec: &GpuSpec, a: &Csr<f32>, x: &[f32]) -> simt::Result<(Vec<f32>, f64)> {
+    fn spmv(
+        &self,
+        spec: &GpuSpec,
+        a: &Csr<f32>,
+        x: &[f32],
+    ) -> simt::Result<(Vec<f32>, f64, Vec<f64>)> {
         let model = CostModel::standard();
         let mut y = Vec::with_capacity(a.rows());
         let mut critical_ms = 0.0f64;
-        for rows in self.spans.iter().filter(|r| !r.is_empty()) {
+        let mut sm_busy_ms = vec![0.0f64; self.spans.len()];
+        let launched = sm_busy_ms.iter_mut().zip(&self.spans);
+        for (busy, rows) in launched.filter(|(_, r)| !r.is_empty()) {
             let run = spmv_rows(spec, &model, a, rows.clone(), x, self.kind, DEFAULT_BLOCK)?;
             y.extend(run.y);
             critical_ms = critical_ms.max(run.report.elapsed_ms());
+            *busy = run.report.timing.sm_times_ms.iter().sum();
         }
-        Ok((y, critical_ms))
+        Ok((y, critical_ms, sm_busy_ms))
     }
 }
 
@@ -249,7 +259,11 @@ impl ShardGroup {
     /// which also labels its route, reject and merge events. The
     /// report's cache counters and each completion's `cache_hit` are the
     /// split cache's: one lookup per request that starts. A shard's
-    /// `jobs` counts the served requests whose span on it was non-empty.
+    /// [`DeviceReport`] covers the served requests whose span on it was
+    /// non-empty, the ones it launched: `jobs` counts them, `makespan_ms`
+    /// is the last one's end (0 if none), and `sm_occupancy` is their
+    /// launches' summed SM busy time over `num_sms × makespan_ms`, as a
+    /// device's occupancy is defined.
     pub fn serve_split(&mut self, requests: &[Request]) -> simt::Result<ServeResult> {
         let mut order: Vec<&Request> = requests.iter().collect();
         order.sort_by(|a, b| {
@@ -264,7 +278,16 @@ impl ShardGroup {
         // The split path is bulk-synchronous: one request occupies the
         // whole group at a time, so completion times never decrease.
         let mut busy_until = 0.0f64;
-        let mut jobs = vec![0usize; self.cfg.shards];
+        let mut devices: Vec<DeviceReport> = (0..self.cfg.shards)
+            .map(|device| DeviceReport {
+                device,
+                jobs: 0,
+                sm_occupancy: 0.0,
+                makespan_ms: 0.0,
+                faults: Default::default(),
+            })
+            .collect();
+        let mut sm_busy_ms = vec![0.0f64; self.cfg.shards];
 
         for r in order {
             let home = self.home(r);
@@ -283,7 +306,7 @@ impl ShardGroup {
             }
 
             let (split, cache_hit) = self.split_entry(&r.matrix);
-            let (y, critical_ms) = split.spmv(&self.link.device, &r.matrix, &r.x)?;
+            let (y, critical_ms, busy) = split.spmv(&self.link.device, &r.matrix, &r.x)?;
             let end = start + critical_ms + split.comm_ms;
 
             if self.cfg.shards > 1 {
@@ -299,8 +322,12 @@ impl ShardGroup {
             ledger.shard.comm_ms += split.comm_ms;
             self.emit(home, ShardPhase::Merge, end, 4.0 * y.len() as f64);
             // An empty span launches nothing.
-            for (n, rows) in jobs.iter_mut().zip(&split.spans) {
-                *n += usize::from(!rows.is_empty());
+            for (s, rows) in split.spans.iter().enumerate() {
+                if !rows.is_empty() {
+                    devices[s].jobs += 1;
+                    devices[s].makespan_ms = end;
+                    sm_busy_ms[s] += busy[s];
+                }
             }
 
             ledger.served(
@@ -327,17 +354,13 @@ impl ShardGroup {
         ledger.cache.hits = after.hits - cache_before.hits;
         ledger.cache.misses = after.misses - cache_before.misses;
         ledger.cache.evictions = after.evictions - cache_before.evictions;
-        ledger.devices = jobs
-            .into_iter()
-            .enumerate()
-            .map(|(device, jobs)| DeviceReport {
-                device,
-                jobs,
-                sm_occupancy: 0.0,
-                makespan_ms: busy_until,
-                faults: Default::default(),
-            })
-            .collect();
+        let num_sms = f64::from(self.link.device.num_sms);
+        for (d, busy) in devices.iter_mut().zip(sm_busy_ms) {
+            if d.makespan_ms > 0.0 {
+                d.sm_occupancy = busy / (num_sms * d.makespan_ms);
+            }
+        }
+        ledger.devices = devices;
         Ok(ledger.finish(requests.len()))
     }
 
@@ -357,7 +380,7 @@ impl ShardGroup {
         let mut comm_ms = 0.0f64;
         let init = vec![1.0f32 / n as f32; n];
         let (rank, iterations) = power_iteration(g, tol, max_iters, &init, |rank| {
-            let (y, critical_ms) = split.spmv(&self.link.device, &mt, rank)?;
+            let (y, critical_ms, _) = split.spmv(&self.link.device, &mt, rank)?;
             compute_ms += critical_ms;
             comm_ms += split.comm_ms;
             Ok(y)
@@ -511,6 +534,16 @@ mod tests {
         let cut = grp.splits.get(&a.structure_id()).expect("cut cached");
         for (s, rows) in cut.spans.iter().enumerate() {
             assert_eq!(jobs[s], usize::from(!rows.is_empty()), "shard {s}: {jobs:?}");
+        }
+        // A shard's makespan and occupancy cover only what it launched.
+        let end = out.completions[0].end_ms;
+        for d in &out.report.devices {
+            if d.jobs == 0 {
+                assert_eq!((d.makespan_ms, d.sm_occupancy), (0.0, 0.0), "{d:?}");
+            } else {
+                assert_eq!(d.makespan_ms.to_bits(), end.to_bits(), "{d:?}");
+                assert!(d.sm_occupancy > 0.0 && d.sm_occupancy <= 1.0, "{d:?}");
+            }
         }
     }
 

@@ -38,6 +38,64 @@ pub struct RowStats {
     pub empty_frac: f64,
 }
 
+/// The moments of a row-length sequence: its total, longest row, mean,
+/// standard deviation and coefficient of variation. Two passes over the
+/// lengths, in row order, with no allocation or sort. [`RowStats`] is
+/// built on it, so a caller that needs only these (the runtime's
+/// plan-cache fingerprint) gets bit-for-bit the same values without
+/// paying for the Gini coefficient.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RowMoments {
+    /// Total nonzeros (atoms).
+    pub nnz: usize,
+    /// Longest row.
+    pub max: usize,
+    /// Mean row length.
+    pub mean: f64,
+    /// Standard deviation of row lengths.
+    pub std_dev: f64,
+    /// Coefficient of variation (`std_dev / mean`; 0 when the mean is 0).
+    pub cv: f64,
+}
+
+impl RowMoments {
+    /// Moments of a row-length sequence; all zero when it is empty.
+    pub fn from_lengths<I>(lengths: I) -> Self
+    where
+        I: ExactSizeIterator<Item = usize> + Clone,
+    {
+        let rows = lengths.len();
+        if rows == 0 {
+            return Self::default();
+        }
+        let (nnz, max) = lengths
+            .clone()
+            .fold((0usize, 0usize), |(n, m), l| (n + l, m.max(l)));
+        let mean = nnz as f64 / rows as f64;
+        let var = lengths
+            .map(|l| {
+                let d = l as f64 - mean;
+                d * d
+            })
+            .sum::<f64>()
+            / rows as f64;
+        let std_dev = var.sqrt();
+        let cv = if mean > 0.0 { std_dev / mean } else { 0.0 };
+        Self {
+            nnz,
+            max,
+            mean,
+            std_dev,
+            cv,
+        }
+    }
+
+    /// Moments of a CSR matrix's row lengths, read off its row offsets.
+    pub fn of<V: Copy>(csr: &Csr<V>) -> Self {
+        Self::from_lengths(csr.row_offsets().windows(2).map(|w| w[1] - w[0]))
+    }
+}
+
 impl RowStats {
     /// Compute statistics from a row-length sequence.
     pub fn from_lengths(lengths: &[usize]) -> Self {
@@ -56,20 +114,14 @@ impl RowStats {
                 empty_frac: 0.0,
             };
         }
-        let nnz: usize = lengths.iter().sum();
+        let RowMoments {
+            nnz,
+            max,
+            mean,
+            std_dev,
+            cv,
+        } = RowMoments::from_lengths(lengths.iter().copied());
         let min = lengths.iter().copied().min().unwrap_or(0);
-        let max = lengths.iter().copied().max().unwrap_or(0);
-        let mean = nnz as f64 / rows as f64;
-        let var = lengths
-            .iter()
-            .map(|&l| {
-                let d = l as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / rows as f64;
-        let std_dev = var.sqrt();
-        let cv = if mean > 0.0 { std_dev / mean } else { 0.0 };
         let gini = gini_coefficient(lengths);
         let empty = lengths.iter().filter(|&&l| l == 0).count();
         Self {

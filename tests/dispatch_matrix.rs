@@ -21,10 +21,12 @@
 //!
 //! The closing proptest-style check (seeded in-repo generator, same
 //! idiom as `proptest_invariants.rs`) drives engine and legacy SpMV over
-//! random matrices, schedules, and block sizes. The work-queue check
-//! pins the engine's idle-thread tail — it simulates only the threads
-//! that claim work — against the legacy launch, which runs every
-//! thread, traced and untraced.
+//! random matrices, schedules, and block sizes. A traced check pins the
+//! engine's two cold-launch shortcuts against the legacy launch, traced
+//! and untraced: work-queue's idle-thread tail (it simulates only the
+//! threads that claim work; the legacy launch runs every thread) and
+//! merge-path's partition walk (threads read their bounds from a table
+//! walked before the launch; the legacy threads search for them).
 
 use kernels::graph::Graph;
 use loops::schedule::ScheduleKind;
@@ -936,36 +938,47 @@ impl trace::TraceSink for DispatchSamples {
     }
 }
 
-/// Run `f` under a fresh [`DispatchSamples`] sink; return its result and
-/// the samples.
-fn with_dispatch_samples<R>(f: impl FnOnce() -> R) -> (R, Vec<DispatchSample>) {
+/// Run `f` under a fresh [`DispatchSamples`] sink, labelled as SpMV under
+/// `kind`; return its result and the samples.
+fn with_dispatch_samples<R>(kind: ScheduleKind, f: impl FnOnce() -> R) -> (R, Vec<DispatchSample>) {
     let sink = std::sync::Arc::new(DispatchSamples::default());
-    let out = simt::tracing::scoped(sink.clone(), "spmv/work-queue", f);
+    let label = loops::dispatch::trace_label(loops::dispatch::KernelKind::Spmv, kind);
+    let out = simt::tracing::scoped(sink.clone(), label, f);
     let samples = std::mem::take(&mut *sink.0.lock().expect("no sink user panics"));
     (out, samples)
 }
 
-/// The engine's work-queue launch runs only the threads with a first
-/// claim and charges the rest as idle, and runs no block past the first
-/// one without a claim; the legacy launch runs every thread of every
-/// block. On the V100 nearly every persistent thread is idle; on the
-/// tiny spec threads loop over several claims. Results, the whole
-/// report and, traced, every block span (SM and times) and warp sample
-/// must agree bit for bit.
+/// The engine's two cold-launch shortcuts against the legacy launches,
+/// which take neither. Work-queue: the engine runs only the threads with
+/// a first claim and charges the rest as idle, and runs no block past
+/// the first one without a claim; the legacy launch runs every thread of
+/// every block. On the V100 nearly every persistent thread is idle; on
+/// the tiny spec threads loop over several claims. Merge-path: the
+/// engine walks the partition table on the host before the launch and
+/// each thread reads its bounds from it, charged as the two diagonal
+/// searches; the legacy launch searches in every thread. Results, the
+/// whole report and, traced, every block span (SM and times) and warp
+/// sample must agree bit for bit.
 #[test]
-fn work_queue_idle_tail_matches_the_every_thread_launch() {
+fn idle_tail_and_partition_walk_match_the_legacy_launch() {
     let model = CostModel::standard();
     let mut matrices = corpus();
     matrices.push(sparse::gen::rmat(12, 8, (0.57, 0.19, 0.19), 23));
+    let kinds = [
+        ScheduleKind::WorkQueue(1),
+        ScheduleKind::WorkQueue(8),
+        ScheduleKind::WorkQueue(64),
+        ScheduleKind::WorkQueue(1024),
+        ScheduleKind::MergePath,
+    ];
     for spec in [GpuSpec::v100(), GpuSpec::test_tiny()] {
         for a in &matrices {
             let x = sparse::dense::test_vector(a.cols());
-            for chunk in [1u32, 8, 64, 1024] {
+            for kind in kinds {
                 for block_dim in [64u32, 100, 256, 512] {
                     if block_dim > spec.max_threads_per_block {
                         continue;
                     }
-                    let kind = ScheduleKind::WorkQueue(chunk);
                     let (rows, cols) = (a.rows(), a.cols());
                     let label = format!("{} {rows}x{cols} {kind} block {block_dim}", spec.name);
                     let engine = || {
@@ -979,8 +992,8 @@ fn work_queue_idle_tail_matches_the_every_thread_launch() {
                     assert_eq!(bits(&run.y), bits(&ly), "{label}: y");
                     assert_eq!(strip(&run.report), strip(&lreport), "{label}: report");
 
-                    let (traced, samples) = with_dispatch_samples(engine);
-                    let ((ly, lreport, _), lsamples) = with_dispatch_samples(every);
+                    let (traced, samples) = with_dispatch_samples(kind, engine);
+                    let ((ly, lreport, _), lsamples) = with_dispatch_samples(kind, every);
                     assert_eq!(bits(&traced.y), bits(&ly), "{label}: traced y");
                     assert_eq!(strip(&traced.report), strip(&lreport), "{label}: traced report");
                     let spans = samples.iter().filter(|s| s.0 == 'b').count();
